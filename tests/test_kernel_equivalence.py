@@ -25,6 +25,10 @@ hashes enforce.  The hybrid schemes it unlocked (``ss-easy``,
 ``tss-conservative``) have no seed-kernel ancestor; their traces are
 pinned in :data:`HYBRID_TRACE_SHA256` at the commit that introduced
 them, freezing the composed semantics the same way.
+
+Immediate Service had no byte-level witness until its timeslice engine
+was moved onto the sweep's mask and lookup fast paths; its traces are
+pinned in :data:`IS_TRACE_SHA256` at the commit before that port.
 """
 
 from __future__ import annotations
@@ -85,6 +89,14 @@ HYBRID_TRACE_SHA256 = {
 }
 
 
+#: SHA-256 of the IS JSONL decision traces, pinned before the timeslice
+#: engine's fast-path port
+IS_TRACE_SHA256 = {
+    ("CTC", "is"): "07b13f467b80aff3e52d8e7f47c500f22756879e018bf1bf57920845bd49c6bc",
+    ("SDSC", "is"): "16af33ce1b792c2985551a23ece2b4af64f4a8754a2a9f2592a5c0ea5a91ea31",
+}
+
+
 def _make_scheduler(name: str) -> Scheduler:
     if name == "ss":
         return SelectiveSuspensionScheduler(suspension_factor=2.0)
@@ -100,12 +112,16 @@ def _make_scheduler(name: str) -> Scheduler:
         from repro.schedulers.hybrids import TunableSuspensionWithGuarantees
 
         return TunableSuspensionWithGuarantees(suspension_factor=2.0)
+    if name == "is":
+        from repro.core.immediate_service import ImmediateServiceScheduler
+
+        return ImmediateServiceScheduler()
     return ConservativeBackfillScheduler()
 
 
 @pytest.mark.parametrize(
     ("workload", "scheme"),
-    sorted(GOLDEN_TRACE_SHA256) + sorted(HYBRID_TRACE_SHA256),
+    sorted(GOLDEN_TRACE_SHA256) + sorted(HYBRID_TRACE_SHA256) + sorted(IS_TRACE_SHA256),
     ids=lambda v: str(v),
 )
 def test_trace_matches_seed_kernel(workload: str, scheme: str, tmp_path: Path) -> None:
@@ -116,7 +132,7 @@ def test_trace_matches_seed_kernel(workload: str, scheme: str, tmp_path: Path) -
     sim.run(generate_trace(trace_name, n_jobs=n_jobs, seed=seed))
     rec.close()
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    expected = {**GOLDEN_TRACE_SHA256, **HYBRID_TRACE_SHA256}
+    expected = {**GOLDEN_TRACE_SHA256, **HYBRID_TRACE_SHA256, **IS_TRACE_SHA256}
     assert digest == expected[(workload, scheme)], (
         f"{workload}/{scheme}: decision trace diverged from the seed "
         "kernel -- a perf change altered the schedule (or an intentional "
