@@ -5,7 +5,7 @@ event calendar throughput, profile operations, cluster allocation, and
 end-to-end simulation rate in jobs/second for each scheduler family.
 Regressions here silently inflate every figure bench, so they are
 tracked separately -- ``tools/bench_gate.py`` runs this module, writes
-the schema-versioned ``BENCH_PR4.json`` artifact and fails CI on
+a schema-versioned ``BENCH_*.json`` artifact and fails CI on
 regressions against the committed baseline.
 
 The pre-optimisation kernel survives here as *executable references*:
@@ -31,7 +31,9 @@ from typing import Iterable
 
 import pytest
 
+from repro.cluster.bitset import iter_bits
 from repro.cluster.machine import AllocationError, Cluster
+from repro.core.immediate_service import ImmediateServiceScheduler
 from repro.core.priorities import PreemptionCriteria, suspension_priority
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.schedulers.base import Scheduler
@@ -101,6 +103,11 @@ class LegacyCluster:
     def can_allocate_specific(self, procs: Iterable[int]) -> bool:
         return all(p in self._free for p in procs)
 
+    def can_allocate_mask(self, mask: int) -> bool:
+        # the driver resumes suspended jobs through the mask entry
+        # points; the legacy cluster decodes the mask to ids
+        return self.can_allocate_specific(iter_bits(mask))
+
     def allocate(self, count: int, owner: int) -> frozenset[int]:
         if count <= 0:
             raise AllocationError(f"job {owner}: nonpositive request {count}")
@@ -125,6 +132,9 @@ class LegacyCluster:
                 f"job {owner}: processors {sorted(missing)[:8]} not free"
             )
         return self._claim(chosen, owner)
+
+    def allocate_mask(self, mask: int, owner: int) -> frozenset[int]:
+        return self.allocate_specific(iter_bits(mask), owner)
 
     def _claim(self, chosen: frozenset[int], owner: int) -> frozenset[int]:
         for p in chosen:
@@ -398,6 +408,17 @@ class LegacySweepScheduler(Scheduler):
         return False  # pragma: no cover - owners covered all of `needed`
 
 
+class UnelidedImmediateService(ImmediateServiceScheduler):
+    """IS with every timer tick dispatched (no quiet-tick elision).
+
+    Declares that an empty-queue tick is *not* a no-op, so the driver
+    runs the full 60-s chain; ``test_is_elision_identical`` checks that
+    skipping the quiet ticks changes nothing observable.
+    """
+
+    empty_queue_tick_is_noop = False
+
+
 def run_sim_legacy(jobs, scheduler, n_procs):
     """run_sim twin on the full legacy kernel (LegacyCluster)."""
     driver = SchedulingSimulation(cluster=LegacyCluster(n_procs), scheduler=scheduler)
@@ -537,6 +558,21 @@ def test_simulation_rate_ss_null_recorder(benchmark):
     assert len(result.jobs) == len(JOBS_SDSC)
 
 
+def test_simulation_rate_is(benchmark):
+    """IS throughput on the SDSC trace.
+
+    The timeslice engine re-serves waiting jobs on every 60-s tick; this
+    bench times it with quiet ticks skipped and re-entry on the mask
+    fast paths.
+    """
+
+    def run():
+        return run_sim(fresh_copies(JOBS_SDSC), ImmediateServiceScheduler(), n_procs=128)
+
+    result = benchmark(run)
+    assert len(result.jobs) == len(JOBS_SDSC)
+
+
 def test_simulation_rate_ss_legacy_sweep(benchmark):
     """The full pre-optimisation kernel on the same SDSC trace.
 
@@ -632,6 +668,21 @@ def test_sweep_priority_snapshot_identical():
     assert _schedule_signature(fast) == _schedule_signature(slow)
     assert fast.total_suspensions == slow.total_suspensions
     assert fast.makespan == slow.makespan
+
+
+def test_is_elision_identical():
+    """Skipping IS's quiet ticks changes cost, not the run.
+
+    Same trace through IS as registered and through a subclass that
+    dispatches every tick: identical per-job outcomes, suspension
+    total, makespan and logical event count.
+    """
+    fast = run_sim(fresh_copies(JOBS_SDSC), ImmediateServiceScheduler(), n_procs=128)
+    full = run_sim(fresh_copies(JOBS_SDSC), UnelidedImmediateService(), n_procs=128)
+    assert _schedule_signature(fast) == _schedule_signature(full)
+    assert fast.total_suspensions == full.total_suspensions > 0
+    assert fast.makespan == full.makespan
+    assert fast.events_dispatched == full.events_dispatched
 
 
 # ----------------------------------------------------------------------

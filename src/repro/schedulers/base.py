@@ -27,7 +27,7 @@ Contract
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.events import Tracer
@@ -50,6 +50,12 @@ class Scheduler(ABC):
     #: seconds while work remains.  The paper's preemptive schemes use a
     #: 60 s preemption sweep (section IV-B).
     timer_interval: float | None = None
+
+    #: Class-level contract: :meth:`on_timer` with an empty queue changes
+    #: no state and emits nothing.  When true, the driver skips such
+    #: ticks instead of dispatching them (see :mod:`repro.sim.driver`,
+    #: "Quiet ticks").  Not a tuning knob: it never enters :meth:`config`.
+    empty_queue_tick_is_noop: ClassVar[bool] = False
 
     def __init__(self) -> None:
         self.driver: "SchedulingSimulation | None" = None

@@ -1202,6 +1202,10 @@ class SweepPreemption(PreemptionPolicy):
         return False  # pragma: no cover - owners covered all of `needed`
 
 
+#: protection-window end of a job that holds none
+_UNPROTECTED = float("-inf")
+
+
 class TimeslicePreemption(PreemptionPolicy):
     """The IS timeslice engine: serve-on-arrival with protection windows.
 
@@ -1214,6 +1218,20 @@ class TimeslicePreemption(PreemptionPolicy):
     sweep re-serves waiting jobs against unprotected victims of
     *strictly lower* priority.  See :mod:`repro.core.immediate_service`
     for the policy rationale and the pinned-down unstated details.
+
+    It runs on the same fast paths as :class:`SweepPreemption`, with
+    identical schedules:
+
+    * the empty-queue early exit: a sweep with no waiting job returns
+      before building anything (and the driver skips such ticks
+      altogether, see :attr:`PolicyKernel.empty_queue_tick_is_noop`);
+    * the once-per-sweep priority snapshot: each job's queue priority is
+      computed at most once per sweep, exact because a transition at
+      ``now`` leaves the instantaneous xfactor unchanged;
+    * mask re-entry: a suspended job's resume set is its cached
+      ``suspended_mask``, tested with ``can_allocate_mask``, and the
+      jobs squatting on it come from ``owners_in_mask`` plus the O(1)
+      ``running_job`` lookup instead of a ``running_jobs()`` scan.
     """
 
     def __init__(
@@ -1228,6 +1246,9 @@ class TimeslicePreemption(PreemptionPolicy):
         self.timer_interval = float(sweep_interval)
         #: job_id -> end of its current protection window
         self._protected_until: dict[int, float] = {}
+        #: job_id -> queue priority at the sweep's instant; not ``None``
+        #: only while :meth:`_sweep` is on the stack
+        self._sweep_priorities: dict[int, float] | None = None
 
     def config_fragment(self) -> dict[str, object]:
         return {"timeslice": self.timeslice, "sweep_interval": self.timer_interval}
@@ -1254,10 +1275,16 @@ class TimeslicePreemption(PreemptionPolicy):
     # mechanics
     # ------------------------------------------------------------------
     def _priority(self, job: Job, now: float) -> float:
-        return self.kernel.queue.priority(job, now)
+        snapshot = self._sweep_priorities
+        if snapshot is None:
+            return self.kernel.queue.priority(job, now)
+        p = snapshot.get(job.job_id)
+        if p is None:
+            p = snapshot[job.job_id] = self.kernel.queue.priority(job, now)
+        return p
 
     def _is_protected(self, job: Job) -> bool:
-        return self.driver.now < self._protected_until.get(job.job_id, -float("inf"))
+        return self.driver.now < self._protected_until.get(job.job_id, _UNPROTECTED)
 
     def _start(self, job: Job) -> None:
         driver = self.driver
@@ -1370,30 +1397,37 @@ class TimeslicePreemption(PreemptionPolicy):
         """
         driver = self.driver
         now = driver.now
-        out = [
-            r
-            for r in driver.running_jobs()
-            if not self._is_protected(r)
-            and (
-                limit_priority is None or self._priority(r, now) < limit_priority
-            )
-        ]
-        out.sort(key=lambda r: (self._priority(r, now), r.job_id))
-        return out
+        ranked: list[tuple[float, int, Job]] = []
+        for r in driver.running_jobs():
+            if self._is_protected(r):
+                continue
+            p = self._priority(r, now)
+            if limit_priority is None or p < limit_priority:
+                ranked.append((p, r.job_id, r))
+        ranked.sort()  # (priority, job_id) is unique: Jobs never compared
+        return [r for _, _, r in ranked]
 
     def _sweep(self) -> None:
         """Serve waiting jobs: free processors first, then preemption."""
         driver = self.driver
+        queued = driver.queued_jobs()
+        if not queued:
+            return
         now = driver.now
+        prio = self.kernel.queue.priority
+        priorities = {j.job_id: prio(j, now) for j in queued}
         waiting = sorted(
-            driver.queued_jobs(),
-            key=lambda j: (-self._priority(j, now), j.submit_time, j.job_id),
+            queued, key=lambda j: (-priorities[j.job_id], j.submit_time, j.job_id)
         )
-        for job in waiting:
-            if job.needs_specific_procs:
-                self._serve_reentry(job)
-            else:
-                self._serve_fresh(job)
+        self._sweep_priorities = priorities  # running jobs join lazily
+        try:
+            for job in waiting:
+                if job.needs_specific_procs:
+                    self._serve_reentry(job)
+                else:
+                    self._serve_fresh(job)
+        finally:
+            self._sweep_priorities = None
 
     def _serve_fresh(self, job: Job) -> bool:
         driver = self.driver
@@ -1421,25 +1455,34 @@ class TimeslicePreemption(PreemptionPolicy):
 
     def _serve_reentry(self, job: Job) -> bool:
         driver = self.driver
-        needed = job.suspended_procs
-        if driver.cluster.can_allocate_specific(needed):
+        cluster = driver.cluster
+        needed_mask = job.suspended_mask  # cached at suspension time
+        if cluster.can_allocate_mask(needed_mask):
             self._start(job)
             return True
         now = driver.now
         tracer = driver.tracer
         my_priority = self._priority(job, now)
-        owner_ids = driver.cluster.owners_overlapping(needed)
-        owners = [r for r in driver.running_jobs() if r.job_id in owner_ids]
+        # ascending job id: the verdict order and the primary blocking
+        # cause must reproduce run to run
+        owners: list[Job] = []
+        for owner_id in sorted(cluster.owners_in_mask(needed_mask)):
+            owner = driver.running_job(owner_id)
+            if owner is None:  # pragma: no cover - defensive
+                return False
+            owners.append(owner)
         # One protected or higher-priority squatter blocks the resume.
         # When tracing, classify every owner so the decision record is
         # complete (the checks are pure; scheduling is unchanged).
         verdicts: list[dict[str, Any]] | None = [] if tracer is not None else None
         blocking: str | None = None
-        for victim in sorted(owners, key=lambda o: o.job_id):
-            p = self._priority(victim, now)
-            if self._is_protected(victim):
+        protected_until = self._protected_until
+        for victim in owners:
+            # protection first: a protected owner's priority is needed
+            # only for the decision record
+            if now < protected_until.get(victim.job_id, _UNPROTECTED):
                 cause = "protected"
-            elif p >= my_priority:
+            elif self._priority(victim, now) >= my_priority:
                 cause = "priority"
             else:
                 cause = None
@@ -1447,7 +1490,7 @@ class TimeslicePreemption(PreemptionPolicy):
                 verdicts.append(
                     victim_verdict(
                         victim.job_id,
-                        p,
+                        self._priority(victim, now),
                         len(victim.allocated_procs),
                         cause or "candidate",
                     )
@@ -1477,13 +1520,13 @@ class TimeslicePreemption(PreemptionPolicy):
                 requested=job.procs,
                 path="reentry",
                 timeslice=self.timeslice,
-                suspended=sorted(o.job_id for o in owners),
+                suspended=[o.job_id for o in owners],
                 victims=verdicts,
             )
-        for victim in sorted(owners, key=lambda o: o.job_id):
+        for victim in owners:
             driver.suspend_job(victim, preemptor=job.job_id)
             self._protected_until.pop(victim.job_id, None)
-        if driver.cluster.can_allocate_specific(needed):
+        if cluster.can_allocate_mask(needed_mask):
             self._start(job)
             return True
         return False  # pragma: no cover - owners covered all of `needed`
@@ -1542,7 +1585,15 @@ class PolicyKernel(Scheduler):
     ``config()``) comes entirely from the :class:`SchedulerSpec`, so
     concrete scheme classes are pure compositions plus back-compat
     accessors.
+
+    A tick on an empty queue is a no-op for every composition: both
+    sweep engines and the default backfill pass return at once when no
+    job waits.  The kernel therefore declares
+    :attr:`~repro.schedulers.base.Scheduler.empty_queue_tick_is_noop`,
+    and the driver skips those ticks.
     """
+
+    empty_queue_tick_is_noop = True
 
     def __init__(self, spec: SchedulerSpec) -> None:
         super().__init__()

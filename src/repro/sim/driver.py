@@ -31,6 +31,21 @@ progress.  Consequences, all intentional:
   progress, so repeated thrashing is maximally punished, which is the
   conservative direction for evaluating a preemptive scheme.
 
+Quiet ticks
+-----------
+
+A scheduler whose class sets
+:attr:`~repro.schedulers.base.Scheduler.empty_queue_tick_is_noop`
+promises that a timer tick finding an empty queue changes nothing.  For
+such schedulers a tick that leaves the queue empty *parks* the timer
+chain (:meth:`~repro.sim.engine.EventLoop.park_timer`) instead of
+posting the next tick; the event loop counts the ticks it skips as
+dispatched, and the driver posts the next grid tick again after the
+first event that leaves the queue non-empty or no work remaining.
+Schedules, ``events_dispatched`` and the final clock are those of the
+full chain.  The timer is never parked while a state probe is attached,
+because the probe samples after every event, ticks included.
+
 Determinism
 -----------
 
@@ -217,6 +232,9 @@ class SchedulingSimulation:
         self._finished: list[Job] = []
         self._finish_events: dict[int, Event] = {}
         self._arrivals_pending = 0
+        #: whether quiet ticks may be parked (fixed when the run starts)
+        self._park_quiet_ticks = False
+        self._tick_parked = False
         self.total_suspensions = 0
         self.total_kills = 0
 
@@ -264,7 +282,7 @@ class SchedulingSimulation:
     def can_start(self, job: Job) -> bool:
         """Whether *job* could start right now on free processors."""
         if job.needs_specific_procs:
-            return self.cluster.can_allocate_specific(job.suspended_procs)
+            return self.cluster.can_allocate_mask(job.suspended_mask)
         return self.cluster.can_allocate(job.procs)
 
     def start_job(
@@ -297,7 +315,7 @@ class SchedulingSimulation:
                     f"start_job: job {job.job_id} must resume on its "
                     "original processors"
                 )
-            procs = self.cluster.allocate_specific(job.suspended_procs, job.job_id)
+            procs = self.cluster.allocate_mask(job.suspended_mask, job.job_id)
         elif procs is not None:
             if len(procs) != job.procs:
                 raise SimulationError(
@@ -447,7 +465,11 @@ class SchedulingSimulation:
             self.scheduler.on_timer()
             interval = self.scheduler.timer_interval
             if interval and self._work_remains():
-                self.loop.after(interval, EventKind.TIMER)
+                if self._park_quiet_ticks and not self._queued:
+                    self.loop.park_timer(self.now + interval, interval)
+                    self._tick_parked = True
+                else:
+                    self.loop.after(interval, EventKind.TIMER)
         self._after_event()
 
     def _work_remains(self) -> bool:
@@ -461,6 +483,10 @@ class SchedulingSimulation:
     # running
     # ------------------------------------------------------------------
     def _after_event(self) -> None:
+        if self._tick_parked and (self._queued or not self._work_remains()):
+            # the next grid tick can act (or ends the chain): post it
+            self._tick_parked = False
+            self.loop.resume_timer()
         if self.probe is not None:
             self.probe.maybe_sample(self)
 
@@ -497,6 +523,7 @@ class SchedulingSimulation:
         for job in jobs:
             self.loop.at(job.submit_time, EventKind.JOB_ARRIVAL, job)
         interval = self.scheduler.timer_interval
+        self._park_quiet_ticks = self.scheduler.empty_queue_tick_is_noop and self.probe is None
         if interval:
             self.loop.at(min(j.submit_time for j in jobs) + interval, EventKind.TIMER)
 

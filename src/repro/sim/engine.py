@@ -15,11 +15,18 @@ Design notes
   simulation silently corrupts every downstream metric.
 * ``max_events``/``max_time`` guards turn runaway simulations (e.g. a
   scheduler that re-posts timers forever) into loud failures.
+* A periodic ``TIMER`` chain can be *parked* (:meth:`EventLoop.park_timer`)
+  instead of re-posted: the loop then counts the ticks the chain would
+  have dispatched before each later event without running them, and
+  :meth:`EventLoop.resume_timer` posts the next one for real.  The
+  driver parks only ticks it knows to be no-ops (see
+  :mod:`repro.sim.driver`), so the dispatched count, the event budget
+  and every schedule are the same as with the full chain.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from repro.sim.events import Event, EventKind, EventQueue
 
@@ -49,6 +56,10 @@ class EventLoop:
         self._dispatched = 0
         self._max_events = int(max_events)
         self._stopped = False
+        #: grid time of the next tick of a parked timer chain (``None``
+        #: when no chain is parked) and the chain's interval
+        self._parked_at: float | None = None
+        self._parked_interval = 0.0
 
     # ------------------------------------------------------------------
     # clock & bookkeeping
@@ -60,7 +71,11 @@ class EventLoop:
 
     @property
     def dispatched(self) -> int:
-        """Number of events dispatched so far."""
+        """Number of events dispatched so far.
+
+        Ticks of a parked timer chain count as dispatched; they are
+        added when the first event after them is dispatched.
+        """
         return self._dispatched
 
     # ------------------------------------------------------------------
@@ -100,6 +115,56 @@ class EventLoop:
         """Cancel a scheduled event (lazy; safe to call twice)."""
         self.queue.cancel(event)
 
+    def park_timer(self, time: float, interval: float) -> None:
+        """Park a periodic ``TIMER`` chain whose next tick is due at *time*.
+
+        Nothing is scheduled.  Each later :meth:`step` first counts, as
+        dispatched, every tick the chain would have fired before the
+        popped event: grid times ``time, time + interval, ...`` (built
+        by repeated addition, exactly as :meth:`after` builds them) that
+        are earlier than the event, or equal to it when the event's kind
+        dispatches after ``TIMER``.  The caller may park only ticks
+        whose handler would change nothing.
+        """
+        if time < self._now:
+            raise SimulationError(f"attempt to park a timer at t={time} before now={self._now}")
+        if interval <= 0:
+            raise SimulationError(f"nonpositive timer interval {interval}")
+        self._parked_at = float(time)
+        self._parked_interval = float(interval)
+
+    def resume_timer(self) -> Event:
+        """Post the parked chain's next tick as a real ``TIMER`` event."""
+        if self._parked_at is None:
+            raise SimulationError("resume_timer: no timer chain is parked")
+        time = self._parked_at
+        self._parked_at = None
+        return self.at(time, EventKind.TIMER)
+
+    def _count_parked_ticks(self, event: Event, t: float) -> None:
+        """Count the parked chain's ticks from *t* on that precede *event*."""
+        interval = self._parked_interval
+        limit = event.time
+        # a tick at the event's own time dispatches first only when the
+        # event's kind sorts after TIMER; compare with <= there and < else
+        # (an ordering test, never float equality)
+        ties_precede = event.kind > EventKind.TIMER
+        budget = self._max_events - self._dispatched
+        skipped = 0
+        while t < limit or (ties_precede and t <= limit):
+            t += interval
+            skipped += 1
+            if skipped > budget:
+                self._budget_exhausted()
+        self._parked_at = t
+        self._dispatched += skipped
+
+    def _budget_exhausted(self) -> NoReturn:
+        raise SimulationError(
+            f"event budget exhausted ({self._max_events} events); "
+            "likely a timer storm or a livelocked scheduler"
+        )
+
     def stop(self) -> None:
         """Request the loop to exit after the current event.
 
@@ -128,16 +193,15 @@ class EventLoop:
             raise SimulationError(
                 f"event calendar yielded t={event.time} < now={self._now}"
             )
+        if self._parked_at is not None:
+            self._count_parked_ticks(event, self._parked_at)
         self._now = event.time
         handler = self._handlers.get(event.kind)
         if handler is None:
             raise SimulationError(f"no handler registered for {event.kind!r}")
         self._dispatched += 1
         if self._dispatched > self._max_events:
-            raise SimulationError(
-                f"event budget exhausted ({self._max_events} events); "
-                "likely a timer storm or a livelocked scheduler"
-            )
+            self._budget_exhausted()
         handler(event)
         return event
 

@@ -177,3 +177,61 @@ def test_start_time_offset():
     assert loop.now == 100.0
     with pytest.raises(SimulationError):
         loop.at(50.0, EventKind.GENERIC)
+
+
+# ----------------------------------------------------------------------
+# parked timer chains
+# ----------------------------------------------------------------------
+def _parked_loop(kind: EventKind, at: float) -> tuple[EventLoop, list[float]]:
+    """A loop with a chain parked at 10, 20, ... and one *kind* event at *at*."""
+    loop = EventLoop()
+    ticks: list[float] = []
+    loop.on(EventKind.TIMER, lambda ev: ticks.append(ev.time))
+    loop.on(kind, lambda ev: loop.resume_timer())
+    loop.park_timer(10.0, 10.0)
+    loop.at(at, kind)
+    return loop, ticks
+
+
+def test_parked_ticks_count_as_dispatched():
+    loop, ticks = _parked_loop(EventKind.JOB_ARRIVAL, 35.0)
+    loop.run()
+    # ticks at 10, 20 and 30 were skipped, the one at 40 was posted
+    assert ticks == [40.0]
+    assert loop.dispatched == 3 + 1 + 1
+    assert loop.now == 40.0
+
+
+def test_parked_tick_tie_with_earlier_kind_stays_pending():
+    # a finish at a grid time dispatches before that time's tick
+    loop, ticks = _parked_loop(EventKind.JOB_FINISH, 30.0)
+    loop.run()
+    assert ticks == [30.0]
+    assert loop.dispatched == 2 + 1 + 1
+
+
+def test_parked_tick_tie_with_later_kind_is_skipped():
+    # a tick at a grid time dispatches before that time's generic event
+    loop, ticks = _parked_loop(EventKind.GENERIC, 30.0)
+    loop.run()
+    assert ticks == [40.0]
+    assert loop.dispatched == 3 + 1 + 1
+
+
+def test_parked_ticks_respect_event_budget():
+    loop = EventLoop(max_events=5)
+    loop.on(EventKind.GENERIC, lambda ev: None)
+    loop.park_timer(1.0, 1.0)
+    loop.at(100.0, EventKind.GENERIC)
+    with pytest.raises(SimulationError, match="event budget"):
+        loop.run()
+
+
+def test_park_and_resume_guards():
+    loop = EventLoop(start_time=5.0)
+    with pytest.raises(SimulationError):
+        loop.park_timer(4.0, 1.0)
+    with pytest.raises(SimulationError):
+        loop.park_timer(6.0, 0.0)
+    with pytest.raises(SimulationError):
+        loop.resume_timer()

@@ -9,7 +9,7 @@ process on one machine.  This script turns those measurements into a
 
 ``--write``
     Run the suite and write a schema-versioned baseline
-    (``BENCH_PR10.json`` at the repo root) recording per-bench
+    (``BENCH_PR12.json`` at the repo root) recording per-bench
     mean/stddev/rounds, end-to-end jobs/second, in-run speedup ratios,
     a machine-independent *trace fingerprint* (SHA-256 over the
     schedule signature each bench workload produces), the
@@ -95,6 +95,7 @@ JOBS_PER_ROUND = {
     "test_simulation_rate_easy": 400,
     "test_simulation_rate_ss": 400,
     "test_simulation_rate_ss_congested": 700,
+    "test_simulation_rate_is": 400,
     "test_swf_stream_parse": 20_000,
     "test_swf_stream_to_jobs": 20_000,
 }
@@ -347,16 +348,18 @@ def trace_fingerprints() -> dict[str, str]:
     which a perf PR must never do.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.core.immediate_service import ImmediateServiceScheduler
     from repro.core.selective_suspension import SelectiveSuspensionScheduler
     from repro.sim.driver import SchedulingSimulation
     from repro.cluster.machine import Cluster
+    from repro.schedulers.base import Scheduler
     from repro.workload.load import scale_load
     from repro.workload.synthetic import generate_trace
 
-    def run_signature(jobs: list[Any]) -> str:
+    def run_signature(jobs: list[Any], scheduler: Scheduler | None = None) -> str:
         driver = SchedulingSimulation(
             cluster=Cluster(128),
-            scheduler=SelectiveSuspensionScheduler(suspension_factor=2.0),
+            scheduler=scheduler or SelectiveSuspensionScheduler(suspension_factor=2.0),
         )
         result = driver.run(jobs)
         sig = [
@@ -370,6 +373,9 @@ def trace_fingerprints() -> dict[str, str]:
         "ss_sdsc400": run_signature(generate_trace("SDSC", n_jobs=400, seed=3)),
         "ss_congested700": run_signature(
             scale_load(generate_trace("SDSC", n_jobs=700, seed=5), 1.8)
+        ),
+        "is_sdsc400": run_signature(
+            generate_trace("SDSC", n_jobs=400, seed=3), ImmediateServiceScheduler()
         ),
     }
 
@@ -504,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
         "--out",
         type=Path,
         default=None,
-        help="report path (default: BENCH_PR10.json for --write, "
+        help="report path (default: BENCH_PR12.json for --write, "
         "bench_report.json for --check)",
     )
     parser.add_argument(
@@ -516,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     out = args.out or (
-        REPO_ROOT / ("BENCH_PR10.json" if args.write else "bench_report.json")
+        REPO_ROOT / ("BENCH_PR12.json" if args.write else "bench_report.json")
     )
 
     raw = run_bench_suite()
