@@ -51,6 +51,9 @@ JOBS_SDSC = generate_trace("SDSC", n_jobs=400, seed=3)
 #: the regime the ROADMAP cares about: a long, overloaded SDSC trace
 #: where queues stay deep and the kernel's quadratic terms dominate
 JOBS_CONGESTED = scale_load(generate_trace("SDSC", n_jobs=700, seed=5), 1.8)
+#: the SDSC trace at twice its load: the high-load cell of the load
+#: sweep, where waiting jobs keep the queue busy between preemptions
+JOBS_LOAD2 = scale_load(JOBS_SDSC, 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -411,12 +414,21 @@ class LegacySweepScheduler(Scheduler):
 class UnelidedImmediateService(ImmediateServiceScheduler):
     """IS with every timer tick dispatched (no quiet-tick elision).
 
-    Declares that an empty-queue tick is *not* a no-op, so the driver
-    runs the full 60-s chain; ``test_is_elision_identical`` checks that
-    skipping the quiet ticks changes nothing observable.
+    Its quiet bound is always *now*, so the driver runs the full 60-s
+    chain; ``test_is_elision_identical`` checks that skipping the quiet
+    ticks changes nothing observable.
     """
 
-    empty_queue_tick_is_noop = False
+    def quiet_until(self, now: float) -> float:
+        return now
+
+
+class UnskippedSelectiveSuspension(SelectiveSuspensionScheduler):
+    """SS with every timer tick dispatched (no quiet-tick elision);
+    the reference of ``test_ss_busy_skip_identical``."""
+
+    def quiet_until(self, now: float) -> float:
+        return now
 
 
 def run_sim_legacy(jobs, scheduler, n_procs):
@@ -558,6 +570,25 @@ def test_simulation_rate_ss_null_recorder(benchmark):
     assert len(result.jobs) == len(JOBS_SDSC)
 
 
+def test_simulation_rate_ss_load2(benchmark):
+    """SS on the SDSC trace at load 2.0.
+
+    Waiting jobs keep the queue busy between preemptions, so most
+    60-s ticks find work they cannot yet act on; the driver skips them
+    up to the sweep's closed-form quiet bound.
+    """
+
+    def run():
+        return run_sim(
+            fresh_copies(JOBS_LOAD2),
+            SelectiveSuspensionScheduler(suspension_factor=2.0),
+            n_procs=128,
+        )
+
+    result = benchmark(run)
+    assert len(result.jobs) == len(JOBS_LOAD2)
+
+
 def test_simulation_rate_is(benchmark):
     """IS throughput on the SDSC trace.
 
@@ -683,6 +714,30 @@ def test_is_elision_identical():
     assert fast.total_suspensions == full.total_suspensions > 0
     assert fast.makespan == full.makespan
     assert fast.events_dispatched == full.events_dispatched
+
+
+def test_ss_busy_skip_identical():
+    """Skipping SS's busy-queue ticks changes cost, not the run.
+
+    SS as registered against a subclass that dispatches every tick, on
+    the normal, congested and load-2.0 traces: identical per-job
+    outcomes, suspension total, makespan and logical event count.
+    """
+    for jobs in (JOBS_SDSC, JOBS_CONGESTED, JOBS_LOAD2):
+        fast = run_sim(
+            fresh_copies(jobs),
+            SelectiveSuspensionScheduler(suspension_factor=2.0),
+            n_procs=128,
+        )
+        full = run_sim(
+            fresh_copies(jobs),
+            UnskippedSelectiveSuspension(suspension_factor=2.0),
+            n_procs=128,
+        )
+        assert _schedule_signature(fast) == _schedule_signature(full)
+        assert fast.total_suspensions == full.total_suspensions > 0
+        assert fast.makespan == full.makespan
+        assert fast.events_dispatched == full.events_dispatched
 
 
 # ----------------------------------------------------------------------

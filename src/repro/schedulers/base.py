@@ -27,7 +27,7 @@ Contract
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.events import Tracer
@@ -50,12 +50,6 @@ class Scheduler(ABC):
     #: seconds while work remains.  The paper's preemptive schemes use a
     #: 60 s preemption sweep (section IV-B).
     timer_interval: float | None = None
-
-    #: Class-level contract: :meth:`on_timer` with an empty queue changes
-    #: no state and emits nothing.  When true, the driver skips such
-    #: ticks instead of dispatching them (see :mod:`repro.sim.driver`,
-    #: "Quiet ticks").  Not a tuning knob: it never enters :meth:`config`.
-    empty_queue_tick_is_noop: ClassVar[bool] = False
 
     def __init__(self) -> None:
         self.driver: "SchedulingSimulation | None" = None
@@ -86,6 +80,19 @@ class Scheduler(ABC):
 
     def on_timer(self) -> None:
         """Periodic tick; only fired when :attr:`timer_interval` is set."""
+
+    def quiet_until(self, now: float) -> float:
+        """A lower bound on the earliest time a tick could change state.
+
+        Called by the driver right after the tick at *now*, assuming no
+        other event happens first: every tick strictly before the
+        returned time must change no state (the driver skips them, see
+        :mod:`repro.sim.driver`, "Quiet ticks").  ``math.inf`` means no
+        tick can act before the next event.  The default, *now*,
+        promises nothing, so every tick runs.  A contract, not a tuning
+        knob: it never enters :meth:`config`.
+        """
+        return now
 
     def on_kill(self, job: "Job") -> None:
         """A speculative run of *job* hit its deadline and was requeued.

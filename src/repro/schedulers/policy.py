@@ -42,6 +42,7 @@ preemption *under start-time guarantees*.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from bisect import insort
 from dataclasses import dataclass
@@ -255,6 +256,13 @@ class PreemptionPolicy(Policy):
         """Serve the queue once.  The default is the non-preemptive
         backfill pass; sweep engines override with their own walk."""
         self.kernel.backfill_pass()
+
+    def quiet_until(self, now: float) -> float:
+        """A lower bound on the earliest time a timer pass over the
+        (non-empty) queue could change state, if no other event happens
+        first (see :meth:`Scheduler.quiet_until`).  The default, *now*,
+        proves nothing."""
+        return now
 
 
 # ======================================================================
@@ -673,7 +681,10 @@ class SweepPreemption(PreemptionPolicy):
     the once-per-sweep priority snapshot, the insort-maintained victim
     list with its lazy dead set, the incrementally-updated pinned mask,
     and the empty-queue / no-free-processor early exits (the bench gate
-    pins their effect; see ``benchmarks/bench_micro.py``).
+    pins their effect; see ``benchmarks/bench_micro.py``).  On top of
+    them, :meth:`quiet_until` computes in closed form the first time a
+    suspension sweep could act, so the driver skips the timer ticks
+    before it without running them.
     """
 
     def __init__(
@@ -754,6 +765,87 @@ class SweepPreemption(PreemptionPolicy):
             return None
         limit = self.limits.limit_for(victim)
         return None if limit == float("inf") else limit
+
+    # ------------------------------------------------------------------
+    # quiet ticks
+    # ------------------------------------------------------------------
+    def quiet_until(self, now: float) -> float:
+        """The earliest time a suspension sweep could act, in closed form.
+
+        Between events a running job's xfactor is frozen and a waiting
+        job's rises at ``1 / estimate``; the width rule and the TSS
+        limits do not change.  A waiting job that cannot start on free
+        processors therefore acts exactly when its xfactor reaches
+        ``SF x`` a fixed threshold: for a fresh start, the priority of
+        the victim at which the cumulative width of the victims it may
+        suspend (ascending priority, as :meth:`_try_start` walks them)
+        covers its deficit; for a re-entry, the highest priority among
+        the owners of its processors (never, if one is protected).  The
+        bound is the earliest such time over the queue.  Compositions
+        whose queue priority is not the xfactor, or whose reservation
+        guard moves with ``now`` (``ss-easy``), get no bound.
+        """
+        kernel = self.kernel
+        queue_policy = kernel.queue
+        if type(queue_policy) is not SuspensionPriorityOrder:
+            return now
+        if kernel.reservation.guards_preemption:
+            return now
+        driver = self.driver
+        cluster = driver.cluster
+        prio = queue_policy.priority
+        protected = self.limits is not None
+        width_allows = self.criteria.width_allows
+        sf = self.criteria.suspension_factor
+        free = cluster.free_count
+        #: running jobs as (priority, width, preemptable), ascending by
+        #: (priority, job_id); built for the first fresh job
+        victims: list[tuple[float, int, bool]] | None = None
+        bound = math.inf
+        for job in driver.queued_jobs():
+            threshold = math.inf
+            if job.needs_specific_procs:
+                mask = job.suspended_mask
+                if cluster.can_allocate_mask(mask):
+                    return now
+                threshold = 0.0
+                for owner_id in cluster.owners_in_mask(mask):
+                    owner = driver.running_job(owner_id)
+                    if owner is None:  # pragma: no cover - defensive
+                        return now
+                    p = prio(owner, now)
+                    if protected and not self.victim_preemptable(owner, p):
+                        threshold = math.inf
+                        break
+                    threshold = max(threshold, p)
+            else:
+                needed = job.procs
+                if free >= needed:
+                    return now
+                if victims is None:
+                    ranked = sorted((prio(r, now), r.job_id, r) for r in driver.running_jobs())
+                    victims = [
+                        (
+                            p,
+                            len(r.allocated_procs),
+                            not protected or self.victim_preemptable(r, p),
+                        )
+                        for p, _, r in ranked
+                    ]
+                covered = free
+                for p, width, preemptable in victims:
+                    if preemptable and width_allows(needed, width, reentry=False):
+                        covered += width
+                        if covered >= needed:
+                            threshold = p
+                            break
+            if threshold < math.inf:
+                # the waiting job's xfactor rises at 1/estimate
+                at = now + (sf * threshold - prio(job, now)) * job.estimate
+                if at <= now:
+                    return now
+                bound = min(bound, at)
+        return bound
 
     # ------------------------------------------------------------------
     # the sweep
@@ -1222,9 +1314,11 @@ class TimeslicePreemption(PreemptionPolicy):
     It runs on the same fast paths as :class:`SweepPreemption`, with
     identical schedules:
 
-    * the empty-queue early exit: a sweep with no waiting job returns
-      before building anything (and the driver skips such ticks
-      altogether, see :attr:`PolicyKernel.empty_queue_tick_is_noop`);
+    * quiet ticks: a sweep with no waiting job returns before building
+      anything, and :meth:`quiet_until` bounds when a sweep over a busy
+      queue could next grant a timeslice (a protection window ending or
+      two priorities crossing), so the driver skips the ticks before
+      it;
     * the once-per-sweep priority snapshot: each job's queue priority is
       computed at most once per sweep, exact because a transition at
       ``now`` leaves the instantaneous xfactor unchanged;
@@ -1260,10 +1354,9 @@ class TimeslicePreemption(PreemptionPolicy):
         self._protected_until.clear()
 
     def on_arrival(self, job: Job) -> None:
-        if not self._grant_immediate_service(job):
-            # could not assemble processors even with preemption; the
-            # job waits and competes in subsequent sweeps
-            pass
+        # a job denied its immediate timeslice waits and competes in
+        # later sweeps
+        self._grant_immediate_service(job)
 
     def observe_finish(self, job: Job) -> None:
         self._protected_until.pop(job.job_id, None)
@@ -1282,6 +1375,79 @@ class TimeslicePreemption(PreemptionPolicy):
         if p is None:
             p = snapshot[job.job_id] = self.kernel.queue.priority(job, now)
         return p
+
+    def quiet_until(self, now: float) -> float:
+        """The earliest time a sweep could grant a timeslice, in closed form.
+
+        A running job becomes a candidate victim for a waiting job at
+        :meth:`_eligible_at`.  A fresh start acts once the candidates'
+        cumulative width, in order of eligibility, covers its deficit; a
+        re-entry once every owner of its processors is a candidate.  The
+        bound is the earliest such time over the queue.  Compositions
+        whose queue priority is not the instantaneous xfactor get none.
+        """
+        if type(self.kernel.queue) is not InstantaneousPriorityOrder:
+            return now
+        driver = self.driver
+        cluster = driver.cluster
+        free = cluster.free_count
+        running: list[Job] | None = None  # fetched for the first fresh job
+        bound = math.inf
+        for job in driver.queued_jobs():
+            if job.needs_specific_procs:
+                mask = job.suspended_mask
+                if cluster.can_allocate_mask(mask):
+                    return now
+                at = now
+                for owner_id in cluster.owners_in_mask(mask):
+                    owner = driver.running_job(owner_id)
+                    if owner is None:  # pragma: no cover - defensive
+                        return now
+                    at = max(at, self._eligible_at(owner, job, now))
+            else:
+                needed = job.procs
+                if free >= needed:
+                    return now
+                if running is None:
+                    running = driver.running_jobs()
+                eligible = sorted(
+                    (self._eligible_at(r, job, now), len(r.allocated_procs)) for r in running
+                )
+                at = math.inf
+                covered = free
+                for when, width in eligible:
+                    covered += width
+                    if covered >= needed:
+                        at = when
+                        break
+            if at <= now:
+                return now
+            bound = min(bound, at)
+        return bound
+
+    def _eligible_at(self, runner: Job, waiter: Job, now: float) -> float:
+        """When *runner* becomes a candidate victim for *waiter*.
+
+        That is once its protection window has ended and its priority
+        is strictly below the waiter's.  Both instantaneous xfactors are
+        ``1 + wait / accrued``: the waiter's wait ``a + u`` grows while
+        its accrued ``A`` is frozen, and the runner's accrued ``b + u``
+        grows while its wait ``W`` is frozen, ``u`` seconds after
+        *now*.  So the runner ranks below once ``(a + u)(b + u) > W A``,
+        whose positive root is taken in its cancellation-free form.  A
+        waiter that never ran outranks any runner at once.
+        """
+        protected_until = self._protected_until.get(runner.job_id, _UNPROTECTED)
+        accrued = waiter.accrued(now)
+        if accrued <= 0.0:
+            return max(protected_until, now)
+        a = waiter.waited(now)
+        b = runner.accrued(now)
+        c = runner.waited(now) * accrued
+        if c <= a * b:
+            return max(protected_until, now)
+        u = 2.0 * (c - a * b) / (a + b + math.sqrt((a - b) ** 2 + 4.0 * c))
+        return max(protected_until, now + u)
 
     def _is_protected(self, job: Job) -> bool:
         return self.driver.now < self._protected_until.get(job.job_id, _UNPROTECTED)
@@ -1586,14 +1752,12 @@ class PolicyKernel(Scheduler):
     concrete scheme classes are pure compositions plus back-compat
     accessors.
 
-    A tick on an empty queue is a no-op for every composition: both
+    :meth:`quiet_until` tells the driver which timer ticks it may
+    skip: on an empty queue, all of them until the next event (both
     sweep engines and the default backfill pass return at once when no
-    job waits.  The kernel therefore declares
-    :attr:`~repro.schedulers.base.Scheduler.empty_queue_tick_is_noop`,
-    and the driver skips those ticks.
+    job waits); on a busy queue, those before the preemption policy's
+    closed-form bound.
     """
-
-    empty_queue_tick_is_noop = True
 
     def __init__(self, spec: SchedulerSpec) -> None:
         super().__init__()
@@ -1632,6 +1796,13 @@ class PolicyKernel(Scheduler):
 
     def on_timer(self) -> None:
         self.preemption.service_pass(True)
+
+    def quiet_until(self, now: float) -> float:
+        driver = self.driver
+        assert driver is not None
+        if not driver.queue_length:
+            return math.inf
+        return self.preemption.quiet_until(now)
 
     def on_kill(self, job: Job) -> None:
         if self.backfill.resched_on_kill:

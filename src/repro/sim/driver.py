@@ -34,17 +34,24 @@ progress.  Consequences, all intentional:
 Quiet ticks
 -----------
 
-A scheduler whose class sets
-:attr:`~repro.schedulers.base.Scheduler.empty_queue_tick_is_noop`
-promises that a timer tick finding an empty queue changes nothing.  For
-such schedulers a tick that leaves the queue empty *parks* the timer
-chain (:meth:`~repro.sim.engine.EventLoop.park_timer`) instead of
-posting the next tick; the event loop counts the ticks it skips as
-dispatched, and the driver posts the next grid tick again after the
-first event that leaves the queue non-empty or no work remaining.
-Schedules, ``events_dispatched`` and the final clock are those of the
-full chain.  The timer is never parked while a state probe is attached,
-because the probe samples after every event, ticks included.
+After each timer tick the driver asks the scheduler for
+:meth:`~repro.schedulers.base.Scheduler.quiet_until`: a lower bound on
+the earliest time a tick could change state if no other event happens
+first.  When that bound lies beyond the next grid tick, the timer chain
+is *parked* (:meth:`~repro.sim.engine.EventLoop.park_timer`) instead of
+posting the next tick: the event loop counts the ticks it skips as
+dispatched and posts the last grid tick before the (margin-reduced)
+bound as a real wake tick, which runs and asks again.  An infinite
+bound (an empty queue, or no job able to act before an event) parks
+without a wake.  After the first non-timer event that leaves the queue
+non-empty or no work remaining, the driver posts the pending grid tick
+again (:meth:`~repro.sim.engine.EventLoop.resume_timer`).  Schedules,
+``events_dispatched`` and the final clock are those of the full chain.
+
+The timer is never parked while a state probe is attached, because the
+probe samples after every event, ticks included.  While a tracer is
+attached only empty-queue ticks are parked: a traced tick on a busy
+queue records its sweep's decisions.
 
 Determinism
 -----------
@@ -232,9 +239,6 @@ class SchedulingSimulation:
         self._finished: list[Job] = []
         self._finish_events: dict[int, Event] = {}
         self._arrivals_pending = 0
-        #: whether quiet ticks may be parked (fixed when the run starts)
-        self._park_quiet_ticks = False
-        self._tick_parked = False
         self.total_suspensions = 0
         self.total_kills = 0
 
@@ -465,12 +469,22 @@ class SchedulingSimulation:
             self.scheduler.on_timer()
             interval = self.scheduler.timer_interval
             if interval and self._work_remains():
-                if self._park_quiet_ticks and not self._queued:
-                    self.loop.park_timer(self.now + interval, interval)
-                    self._tick_parked = True
-                else:
-                    self.loop.after(interval, EventKind.TIMER)
-        self._after_event()
+                self._post_next_tick(interval)
+        self._sample()
+
+    def _post_next_tick(self, interval: float) -> None:
+        """Post the chain's next tick, or park it up to the quiet bound."""
+        now = self.now
+        bound = now
+        # a probe samples after every tick, and a traced tick on a busy
+        # queue records its sweep's decisions: neither may be skipped
+        if self.probe is None and (self.tracer is None or not self._queued):
+            bound = self.scheduler.quiet_until(now)
+        nxt = now + interval
+        if bound > nxt:
+            self.loop.park_timer(nxt, interval, bound)
+        else:
+            self.loop.at(nxt, EventKind.TIMER)
 
     def _work_remains(self) -> bool:
         return bool(self._queued or self._running or self._arrivals_pending > 0)
@@ -483,10 +497,13 @@ class SchedulingSimulation:
     # running
     # ------------------------------------------------------------------
     def _after_event(self) -> None:
-        if self._tick_parked and (self._queued or not self._work_remains()):
-            # the next grid tick can act (or ends the chain): post it
-            self._tick_parked = False
+        if self.loop.timer_parked and (self._queued or not self._work_remains()):
+            # the event invalidated the quiet bound (or ends the chain):
+            # post the next grid tick
             self.loop.resume_timer()
+        self._sample()
+
+    def _sample(self) -> None:
         if self.probe is not None:
             self.probe.maybe_sample(self)
 
@@ -523,7 +540,6 @@ class SchedulingSimulation:
         for job in jobs:
             self.loop.at(job.submit_time, EventKind.JOB_ARRIVAL, job)
         interval = self.scheduler.timer_interval
-        self._park_quiet_ticks = self.scheduler.empty_queue_tick_is_noop and self.probe is None
         if interval:
             self.loop.at(min(j.submit_time for j in jobs) + interval, EventKind.TIMER)
 

@@ -18,19 +18,27 @@ Design notes
 * A periodic ``TIMER`` chain can be *parked* (:meth:`EventLoop.park_timer`)
   instead of re-posted: the loop then counts the ticks the chain would
   have dispatched before each later event without running them, and
-  :meth:`EventLoop.resume_timer` posts the next one for real.  The
-  driver parks only ticks it knows to be no-ops (see
+  :meth:`EventLoop.resume_timer` posts the next one for real.  A park
+  may carry a *wake* bound, in which case the last grid tick before the
+  bound is posted as a real ``TIMER`` event and ends the park when it
+  fires.  The driver parks only ticks it knows to be no-ops (see
   :mod:`repro.sim.driver`), so the dispatched count, the event budget
   and every schedule are the same as with the full chain.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, NoReturn
 
 from repro.sim.events import Event, EventKind, EventQueue
 
 Handler = Callable[[Event], None]
+
+#: relative margin below a wake bound: the wake tick lies strictly
+#: before ``wake - WAKE_MARGIN * |wake|``, so float error in a
+#: closed-form bound can make the wake early, never late
+WAKE_MARGIN = 1e-9
 
 
 class SimulationError(RuntimeError):
@@ -60,6 +68,8 @@ class EventLoop:
         #: when no chain is parked) and the chain's interval
         self._parked_at: float | None = None
         self._parked_interval = 0.0
+        #: the real TIMER event that ends the park (``None`` = no wake)
+        self._wake: Event | None = None
 
     # ------------------------------------------------------------------
     # clock & bookkeeping
@@ -115,31 +125,66 @@ class EventLoop:
         """Cancel a scheduled event (lazy; safe to call twice)."""
         self.queue.cancel(event)
 
-    def park_timer(self, time: float, interval: float) -> None:
+    @property
+    def timer_parked(self) -> bool:
+        """Whether a timer chain is parked (see :meth:`park_timer`)."""
+        return self._parked_at is not None
+
+    def park_timer(self, time: float, interval: float, wake: float = math.inf) -> None:
         """Park a periodic ``TIMER`` chain whose next tick is due at *time*.
 
-        Nothing is scheduled.  Each later :meth:`step` first counts, as
-        dispatched, every tick the chain would have fired before the
-        popped event: grid times ``time, time + interval, ...`` (built
-        by repeated addition, exactly as :meth:`after` builds them) that
-        are earlier than the event, or equal to it when the event's kind
-        dispatches after ``TIMER``.  The caller may park only ticks
-        whose handler would change nothing.
+        Each later :meth:`step` first counts, as dispatched, every tick
+        the chain would have fired before the popped event: grid times
+        ``time, time + interval, ...`` (built by repeated addition,
+        exactly as :meth:`after` builds them) that are earlier than the
+        event, or equal to it when the event's kind dispatches after
+        ``TIMER``.
+
+        A finite *wake* bounds the park: the last grid tick strictly
+        before ``wake`` less a relative :data:`WAKE_MARGIN` is posted as
+        a real ``TIMER`` event, and the park ends when it fires.  The
+        walk to that tick stops early at the first tick at or after the
+        next queued event: an early wake only costs one real tick, and
+        that event usually resumes the chain first.  The caller may park
+        only ticks whose handler would change nothing -- with a wake,
+        every grid tick before the bound.
         """
         if time < self._now:
             raise SimulationError(f"attempt to park a timer at t={time} before now={self._now}")
         if interval <= 0:
             raise SimulationError(f"nonpositive timer interval {interval}")
+        if self._parked_at is not None:
+            raise SimulationError("park_timer: a timer chain is already parked")
         self._parked_at = float(time)
         self._parked_interval = float(interval)
+        if wake < math.inf:
+            limit = wake - WAKE_MARGIN * abs(wake)
+            horizon = self.queue.peek_time()
+            if horizon is None:
+                horizon = math.inf
+            t = self._parked_at
+            nxt = t + interval
+            while nxt < limit and t < horizon:
+                t = nxt
+                nxt = t + interval
+            self._wake = self.at(t, EventKind.TIMER)
 
     def resume_timer(self) -> Event:
-        """Post the parked chain's next tick as a real ``TIMER`` event."""
+        """Post the parked chain's next tick as a real ``TIMER`` event.
+
+        A pending wake is cancelled: the next tick replaces it.
+        """
         if self._parked_at is None:
             raise SimulationError("resume_timer: no timer chain is parked")
         time = self._parked_at
-        self._parked_at = None
+        self._unpark()
         return self.at(time, EventKind.TIMER)
+
+    def _unpark(self) -> None:
+        if self._wake is not None:
+            self.queue.cancel(self._wake)
+            self._wake = None
+        self._parked_at = None
 
     def _count_parked_ticks(self, event: Event, t: float) -> None:
         """Count the parked chain's ticks from *t* on that precede *event*."""
@@ -195,6 +240,8 @@ class EventLoop:
             )
         if self._parked_at is not None:
             self._count_parked_ticks(event, self._parked_at)
+            if event is self._wake:
+                self._unpark()  # the wake tick runs: the chain is live
         self._now = event.time
         handler = self._handlers.get(event.kind)
         if handler is None:

@@ -367,3 +367,59 @@ def test_audit_accepts_every_generated_schedule(raw):
         jobs, TunableSelectiveSuspensionScheduler(suspension_factor=2.0), n_procs=N_PROCS
     )
     audit_result(result)
+
+
+#: every timer-driven scheme, as registry configs
+_TIMER_CONFIGS = (
+    {"scheme": "ss", "suspension_factor": 1.5},
+    {"scheme": "ss", "suspension_factor": 2.0},
+    {"scheme": "ss", "suspension_factor": 5.0},
+    {"scheme": "tss"},
+    {"scheme": "ss-easy"},
+    {"scheme": "tss-conservative"},
+    {"scheme": "is"},
+    {"scheme": "gang"},
+)
+
+
+#: job lists that arrive close together, so queues stay busy and the
+#: sweeps preempt
+busy_job_lists = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1500.0),  # submit
+        st.floats(min_value=30.0, max_value=5000.0),  # run
+        st.integers(min_value=1, max_value=N_PROCS),  # procs
+        st.floats(min_value=1.0, max_value=4.0),  # estimate factor
+    ),
+    min_size=2,
+    max_size=25,
+)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(busy_job_lists)
+def test_busy_tick_skipping_changes_no_outcome(raw):
+    """Skipping ticks up to ``quiet_until`` leaves every run unchanged.
+
+    Each timer-driven scheme runs untraced twice: as registered, and
+    with ``quiet_until`` returning ``now`` so every tick is dispatched.
+    """
+    from repro.schedulers.registry import scheduler_from_config
+    from repro.sim.driver import SchedulingSimulation
+
+    jobs = build_jobs(raw)
+
+    def outcome(config, skip):
+        scheduler = scheduler_from_config(config)
+        if not skip:
+            scheduler.quiet_until = lambda now: now
+        sim = SchedulingSimulation(Cluster(N_PROCS), scheduler)
+        result = sim.run([j.copy_static() for j in jobs])
+        per_job = [
+            (j.job_id, j.first_start_time, j.finish_time, j.suspension_count)
+            for j in result.jobs
+        ]
+        return per_job, result.events_dispatched, result.total_suspensions, sim.now
+
+    for config in _TIMER_CONFIGS:
+        assert outcome(config, skip=True) == outcome(config, skip=False), config

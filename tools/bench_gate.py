@@ -9,7 +9,7 @@ process on one machine.  This script turns those measurements into a
 
 ``--write``
     Run the suite and write a schema-versioned baseline
-    (``BENCH_PR12.json`` at the repo root) recording per-bench
+    (``BENCH_PR13.json`` at the repo root) recording per-bench
     mean/stddev/rounds, end-to-end jobs/second, in-run speedup ratios,
     a machine-independent *trace fingerprint* (SHA-256 over the
     schedule signature each bench workload produces), the
@@ -95,6 +95,7 @@ JOBS_PER_ROUND = {
     "test_simulation_rate_easy": 400,
     "test_simulation_rate_ss": 400,
     "test_simulation_rate_ss_congested": 700,
+    "test_simulation_rate_ss_load2": 400,
     "test_simulation_rate_is": 400,
     "test_swf_stream_parse": 20_000,
     "test_swf_stream_to_jobs": 20_000,
@@ -377,6 +378,9 @@ def trace_fingerprints() -> dict[str, str]:
         "is_sdsc400": run_signature(
             generate_trace("SDSC", n_jobs=400, seed=3), ImmediateServiceScheduler()
         ),
+        "ss_load2_sdsc400": run_signature(
+            scale_load(generate_trace("SDSC", n_jobs=400, seed=3), 2.0)
+        ),
     }
 
 
@@ -510,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
         "--out",
         type=Path,
         default=None,
-        help="report path (default: BENCH_PR12.json for --write, "
+        help="report path (default: BENCH_PR13.json for --write, "
         "bench_report.json for --check)",
     )
     parser.add_argument(
@@ -522,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     out = args.out or (
-        REPO_ROOT / ("BENCH_PR12.json" if args.write else "bench_report.json")
+        REPO_ROOT / ("BENCH_PR13.json" if args.write else "bench_report.json")
     )
 
     raw = run_bench_suite()
