@@ -27,11 +27,9 @@ not claimed.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import pytest
 
-from repro.cluster.bitset import iter_bits
+from repro.cluster.bitset import iter_bits, mask_from_ids
 from repro.cluster.machine import AllocationError, Cluster
 from repro.core.immediate_service import ImmediateServiceScheduler
 from repro.core.priorities import PreemptionCriteria, suspension_priority
@@ -62,9 +60,14 @@ JOBS_LOAD2 = scale_load(JOBS_SDSC, 2.0)
 class LegacyCluster:
     """The set/dict cluster the bitmask :class:`Cluster` replaced.
 
-    Free pool as ``set[int]``, ownership as ``dict[proc, owner]``; same
-    public API and error behaviour, so it drops into the driver for the
-    ``*_legacy`` benches and the equivalence assertions.
+    Free pool as ``set[int]``, ownership as ``dict[proc, owner]``.  It
+    speaks masks only at the driver boundary -- the same mask-typed
+    API and error behaviour as :class:`Cluster` -- and works on ids
+    inside, so it drops into the driver for the ``*_legacy`` benches
+    and the equivalence assertions while still timing the set kernel.
+    The id set of every mask it hands out is kept (where the
+    pre-bitmask kernel kept it on the job), so the masks that come back
+    -- releases, resume checks -- are looked up, not decoded.
     """
 
     def __init__(self, n_procs: int, policy=None) -> None:
@@ -73,7 +76,13 @@ class LegacyCluster:
         self.n_procs = int(n_procs)
         self._free: set[int] = set(range(self.n_procs))
         self._owner: dict[int, int] = {}
+        #: mask handed out -> its processor ids
+        self._ids_of: dict[int, frozenset[int]] = {}
         self.policy = policy or LowestIdFirst()
+
+    def _ids(self, mask: int) -> frozenset[int]:
+        ids = self._ids_of.get(mask)
+        return frozenset(iter_bits(mask)) if ids is None else ids
 
     @property
     def free_count(self) -> int:
@@ -86,32 +95,21 @@ class LegacyCluster:
     def free_set(self) -> frozenset[int]:
         return frozenset(self._free)
 
-    def is_free(self, proc: int) -> bool:
-        return proc in self._free
-
-    def owner_of(self, proc: int) -> int | None:
-        return self._owner.get(proc)
-
-    def owners_overlapping(self, procs: Iterable[int]) -> set[int]:
-        out: set[int] = set()
-        for p in procs:
+    def owners_in_mask(self, mask: int) -> tuple[int, ...]:
+        out: list[int] = []
+        for p in sorted(self._ids(mask)):
             owner = self._owner.get(p)
-            if owner is not None:
-                out.add(owner)
-        return out
+            if owner is not None and owner not in out:
+                out.append(owner)
+        return tuple(out)
 
     def can_allocate(self, count: int) -> bool:
         return count <= len(self._free)
 
-    def can_allocate_specific(self, procs: Iterable[int]) -> bool:
-        return all(p in self._free for p in procs)
-
     def can_allocate_mask(self, mask: int) -> bool:
-        # the driver resumes suspended jobs through the mask entry
-        # points; the legacy cluster decodes the mask to ids
-        return self.can_allocate_specific(iter_bits(mask))
+        return all(p in self._free for p in self._ids(mask))
 
-    def allocate(self, count: int, owner: int) -> frozenset[int]:
+    def allocate(self, count: int, owner: int) -> int:
         if count <= 0:
             raise AllocationError(f"job {owner}: nonpositive request {count}")
         if count > self.n_procs:
@@ -123,10 +121,10 @@ class LegacyCluster:
                 f"job {owner}: requests {count}, only {len(self._free)} free"
             )
         chosen = self.policy.select(self._free, count)
-        return self._claim(chosen, owner)
+        return self._claim(chosen, mask_from_ids(chosen), owner)
 
-    def allocate_specific(self, procs: Iterable[int], owner: int) -> frozenset[int]:
-        chosen = frozenset(procs)
+    def allocate_mask(self, mask: int, owner: int) -> int:
+        chosen = self._ids(mask)
         if not chosen:
             raise AllocationError(f"job {owner}: empty specific allocation")
         missing = [p for p in chosen if p not in self._free]
@@ -134,19 +132,17 @@ class LegacyCluster:
             raise AllocationError(
                 f"job {owner}: processors {sorted(missing)[:8]} not free"
             )
-        return self._claim(chosen, owner)
+        return self._claim(chosen, mask, owner)
 
-    def allocate_mask(self, mask: int, owner: int) -> frozenset[int]:
-        return self.allocate_specific(iter_bits(mask), owner)
-
-    def _claim(self, chosen: frozenset[int], owner: int) -> frozenset[int]:
+    def _claim(self, chosen: frozenset[int], mask: int, owner: int) -> int:
         for p in chosen:
             self._owner[p] = owner
         self._free -= chosen
-        return chosen
+        self._ids_of[mask] = chosen
+        return mask
 
-    def release(self, procs: Iterable[int], owner: int) -> None:
-        procs = frozenset(procs)
+    def release(self, mask: int, owner: int) -> None:
+        procs = self._ids(mask)
         for p in procs:
             actual = self._owner.get(p)
             if actual != owner:
@@ -157,6 +153,14 @@ class LegacyCluster:
         for p in procs:
             del self._owner[p]
         self._free |= procs
+
+
+def _free_ids(cluster) -> frozenset[int]:
+    """Free processor ids: the legacy cluster's own set, else decoded
+    from the bitmask cluster's free mask."""
+    if isinstance(cluster, LegacyCluster):
+        return cluster.free_set()
+    return frozenset(iter_bits(cluster.free_mask))
 
 
 class LegacyAvailabilityProfile(AvailabilityProfile):
@@ -246,6 +250,9 @@ class LegacySweepScheduler(Scheduler):
     implementation: priorities recomputed per access, ``running_jobs()``
     re-sorted inside every ``_try_start``, the pinned set rebuilt from
     the queue on every ``_place``, and all placement done on id sets.
+    Masks appear only where it calls the driver and the cluster; the
+    id set a suspended job must resume on is kept here, decoded once at
+    suspension (the pre-bitmask kernel kept it on the job).
     Pins down what the sweep-scoped snapshot/victim-list/pinned-mask
     structures buy, and that they buy it without changing a single
     scheduling decision (``test_kernel_equivalence_identical`` asserts
@@ -266,6 +273,8 @@ class LegacySweepScheduler(Scheduler):
         )
         self.timer_interval = float(preemption_interval)
         self.name = f"SS(SF={suspension_factor:g})"
+        #: job id -> processor ids it must resume on
+        self._suspended_ids: dict[int, frozenset[int]] = {}
 
     def config(self) -> dict[str, object]:
         return {
@@ -314,13 +323,13 @@ class LegacySweepScheduler(Scheduler):
         pinned: set[int] = set()
         for j in driver.queued_jobs():
             if j.needs_specific_procs:
-                pinned |= j.suspended_procs
+                pinned |= self._suspended_ids[j.job_id]
         return pinned
 
     def _place(self, job: Job, preferred: frozenset[int] = frozenset()) -> frozenset[int]:
         driver = self.driver
         assert driver is not None
-        free = driver.cluster.free_set()
+        free = _free_ids(driver.cluster)
         pinned = self._pinned_procs()
         chosen: list[int] = sorted(preferred & free)[: job.procs]
         if len(chosen) < job.procs:
@@ -337,7 +346,7 @@ class LegacySweepScheduler(Scheduler):
         driver = self.driver
         assert driver is not None
         if driver.cluster.can_allocate(job.procs):
-            driver.start_job(job, procs=self._place(job))
+            driver.start_job(job, mask=mask_from_ids(self._place(job)))
             return True
         if not allow_suspension:
             return False
@@ -351,7 +360,7 @@ class LegacySweepScheduler(Scheduler):
             if covered >= job.procs:
                 break
             victim_priority = priorities[victim.job_id]
-            width = len(victim.allocated_procs)
+            width = victim.procs
             if not self.victim_preemptable(victim, driver.now, victim_priority):
                 continue
             if not self.criteria.priority_allows(
@@ -367,30 +376,30 @@ class LegacySweepScheduler(Scheduler):
         chosen: list[Job] = []
         covered_free = free
         for victim in sorted(
-            candidates, key=lambda c: (-len(c.allocated_procs), c.job_id)
+            candidates, key=lambda c: (-c.procs, c.job_id)
         ):
             if covered_free >= job.procs:
                 break
             chosen.append(victim)
-            covered_free += len(victim.allocated_procs)
+            covered_free += victim.procs
         freed: set[int] = set()
         for victim in chosen:
-            freed |= victim.allocated_procs
-            driver.suspend_job(victim, preemptor=job.job_id)
-        driver.start_job(job, procs=self._place(job, preferred=frozenset(freed)))
+            freed |= self._suspend(victim, job)
+        placed = self._place(job, preferred=frozenset(freed))
+        driver.start_job(job, mask=mask_from_ids(placed))
         return True
 
     def _try_resume(self, job: Job, allow_suspension: bool, priorities) -> bool:
         driver = self.driver
         assert driver is not None
-        needed = job.suspended_procs
-        if driver.cluster.can_allocate_specific(needed):
-            driver.start_job(job)
+        needed = job.suspended_mask
+        if driver.cluster.can_allocate_mask(needed):
+            self._resume(job)
             return True
         if not allow_suspension:
             return False
         idle_priority = priorities[job.job_id]
-        owner_ids = driver.cluster.owners_overlapping(needed)
+        owner_ids = set(driver.cluster.owners_in_mask(needed))
         owners = sorted(
             (r for r in driver.running_jobs() if r.job_id in owner_ids),
             key=lambda r: r.job_id,
@@ -404,11 +413,24 @@ class LegacySweepScheduler(Scheduler):
             if not self.criteria.priority_allows(idle_priority, victim_priority):
                 return False
         for victim in owners:
-            driver.suspend_job(victim, preemptor=job.job_id)
-        if driver.cluster.can_allocate_specific(needed):
-            driver.start_job(job)
+            self._suspend(victim, job)
+        if driver.cluster.can_allocate_mask(needed):
+            self._resume(job)
             return True
         return False  # pragma: no cover - owners covered all of `needed`
+
+    def _suspend(self, victim: Job, preemptor: Job) -> frozenset[int]:
+        driver = self.driver
+        assert driver is not None
+        ids = self._suspended_ids[victim.job_id] = victim.allocated_procs
+        driver.suspend_job(victim, preemptor=preemptor.job_id)
+        return ids
+
+    def _resume(self, job: Job) -> None:
+        driver = self.driver
+        assert driver is not None
+        driver.start_job(job)
+        del self._suspended_ids[job.job_id]
 
 
 class UnelidedImmediateService(ImmediateServiceScheduler):
@@ -507,8 +529,8 @@ def _cluster_workload(cluster_cls):
         held = []
         for i in range(100):
             held.append((i, c.allocate(4, owner=i)))
-        for owner, procs in held:
-            c.release(procs, owner)
+        for owner, mask in held:
+            c.release(mask, owner)
     return c
 
 

@@ -10,23 +10,23 @@ machine model:
 Processor identity matters because restart is *local* (same-processors)
 in the paper's model; see :mod:`repro.cluster` for context.
 
-The free pool is kept as an integer bitmask (bit ``p`` set = processor
-``p`` free), with a per-owner bitmask and a proc->owner array alongside.
-Set algebra on processor sets is then word-parallel big-int arithmetic:
-``can_allocate_specific`` is one AND, ``allocate``/``release`` are a
-handful of bitops, and ``owners_overlapping`` reads an array.  For the
-machine sizes in the paper (100-430 processors) every mask fits in a few
-machine words, so these operations cost O(n_procs / 64) instead of
-per-processor set/dict churn.  :meth:`free_set` materialises a frozenset
-lazily (and caches it until the next mutation) for legacy callers that
-still want one.
+Every processor set crossing this API is an integer bitmask (bit ``p``
+set = processor ``p`` in the set; see :mod:`repro.cluster.bitset`).
+The state is the free mask plus one mask per owner: the owner masks are
+pairwise disjoint and together with the free mask cover the machine
+exactly (:meth:`Cluster.check_invariants`).  The only other field is a
+memo of :meth:`Cluster.owners_in_mask` answers, dropped on every
+allocation and release.
+Allocation, release and every feasibility check are then a handful of
+word-parallel bitops -- O(n_procs / 64) for the machine sizes in the
+paper (100-430 processors) -- with no per-processor loop anywhere.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from repro.cluster.bitset import iter_bits, mask_from_ids, mask_to_ids
+from repro.cluster.bitset import mask_to_ids
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.cluster.allocation import AllocationPolicy
@@ -59,12 +59,11 @@ class Cluster:
         #: all-ones mask over the machine's processor ids
         self._full_mask: int = (1 << self.n_procs) - 1
         self._free_mask: int = self._full_mask
-        #: owner job id -> mask of processors it holds (never zero)
+        #: owner job id -> mask of processors it holds (never zero);
+        #: pairwise disjoint, and disjoint from the free mask
         self._owner_masks: dict[int, int] = {}
-        #: proc id -> owning job id, or None when free
-        self._proc_owner: list[int | None] = [None] * self.n_procs
-        #: lazily materialised snapshot for free_set(); None = stale
-        self._free_cache: frozenset[int] | None = None
+        #: owners_in_mask answers since the last mutation, by query mask
+        self._owners_memo: dict[int, tuple[int, ...]] = {}
         self.policy: "AllocationPolicy" = policy or LowestIdFirst()
 
     # ------------------------------------------------------------------
@@ -85,64 +84,54 @@ class Cluster:
         """Bitmask of free processor ids (bit ``p`` set = proc ``p`` free)."""
         return self._free_mask
 
-    def free_set(self) -> frozenset[int]:
-        """Snapshot of the free processor ids (lazily materialised, cached)."""
-        if self._free_cache is None:
-            self._free_cache = frozenset(iter_bits(self._free_mask))
-        return self._free_cache
-
     def is_free(self, proc: int) -> bool:
         """Whether processor *proc* is currently free."""
         return bool(self._free_mask >> proc & 1)
 
     def owner_of(self, proc: int) -> int | None:
-        """Job id holding *proc*, or ``None`` if it is free."""
-        if 0 <= proc < self.n_procs:
-            return self._proc_owner[proc]
-        return None
+        """Job id holding *proc*, or ``None`` if it is free.
+
+        A scan over the owner masks; for tests and diagnostics only.
+        """
+        if not 0 <= proc < self.n_procs:
+            return None
+        owners = self.owners_in_mask(1 << proc)
+        return owners[0] if owners else None
 
     def owner_mask(self, owner: int) -> int:
         """Bitmask of processors held by job *owner* (0 if none)."""
         return self._owner_masks.get(owner, 0)
 
-    def owners_overlapping(self, procs: Iterable[int]) -> set[int]:
-        """Distinct job ids holding any processor in *procs*."""
-        out: set[int] = set()
-        for p in procs:
-            if 0 <= p < self.n_procs:
-                owner = self._proc_owner[p]
-                if owner is not None:
-                    out.add(owner)
-        return out
-
     def owners_in_mask(self, mask: int) -> tuple[int, ...]:
         """Distinct job ids holding processors in *mask*.
 
-        Deduplicated in ascending order of the first processor each owner
-        holds within *mask* -- deterministic by construction, so decision
-        paths may iterate the result directly.
+        Ordered by the lowest processor each owner holds within *mask*.
+        The owner masks are disjoint, so those lowest bits are distinct
+        and the sort key is a total order: the result is deterministic
+        by construction, and decision paths may iterate it directly.
+
+        Answers are memoised until the next allocation or release: the
+        schedulers ask about the same suspended job's processors in
+        their quiet-tick bound and again in the next sweep.
         """
+        memo = self._owners_memo.get(mask)
+        if memo is not None:
+            return memo
         busy = mask & self._full_mask & ~self._free_mask
-        owners: list[int] = []
-        while busy:
-            p = (busy & -busy).bit_length() - 1
-            owner = self._proc_owner[p]
-            if owner is None:  # pragma: no cover - busy bit always owned
-                busy &= busy - 1
-                continue
-            owners.append(owner)
-            # skip the owner's remaining processors in one bitop: the
-            # walk advances per *owner*, not per processor
-            busy &= ~self._owner_masks[owner]
-        return tuple(owners)
+        # key: the lowest bit of the owner's share of *mask*
+        hits = sorted(
+            [
+                (part & -part, owner)
+                for owner, held in self._owner_masks.items()
+                if (part := held & busy)
+            ]
+        )
+        owners = self._owners_memo[mask] = tuple([owner for _, owner in hits])
+        return owners
 
     def can_allocate(self, count: int) -> bool:
         """Whether *count* free processors exist right now."""
         return count <= self._free_mask.bit_count()
-
-    def can_allocate_specific(self, procs: Iterable[int]) -> bool:
-        """Whether every processor in *procs* is currently free."""
-        return self.can_allocate_mask(mask_from_ids(procs))
 
     def can_allocate_mask(self, mask: int) -> bool:
         """Whether every processor in *mask* is currently free."""
@@ -151,8 +140,8 @@ class Cluster:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def allocate(self, count: int, owner: int) -> frozenset[int]:
-        """Allocate *count* free processors to job *owner*.
+    def allocate(self, count: int, owner: int) -> int:
+        """Allocate *count* free processors to job *owner*; returns their mask.
 
         The concrete processors are chosen by the cluster's policy.
 
@@ -186,15 +175,12 @@ class Cluster:
             )
         return self._claim_mask(chosen, owner)
 
-    def allocate_specific(self, procs: Iterable[int], owner: int) -> frozenset[int]:
-        """Allocate exactly the processors *procs* to job *owner*.
+    def allocate_mask(self, mask: int, owner: int) -> int:
+        """Allocate exactly the processors in *mask* to job *owner*.
 
-        Used for same-processors restart of a suspended job.
+        Used for explicit placement and for the same-processors restart
+        of a suspended job.  Returns *mask*.
         """
-        return self.allocate_mask(mask_from_ids(procs), owner)
-
-    def allocate_mask(self, mask: int, owner: int) -> frozenset[int]:
-        """Allocate exactly the processors in *mask* to job *owner*."""
         if not mask:
             raise AllocationError(f"job {owner}: empty specific allocation")
         missing = mask & ~self._free_mask
@@ -204,17 +190,14 @@ class Cluster:
             )
         return self._claim_mask(mask, owner)
 
-    def _claim_mask(self, mask: int, owner: int) -> frozenset[int]:
-        ids = mask_to_ids(mask)  # ascending by construction
-        for p in ids:
-            self._proc_owner[p] = owner
+    def _claim_mask(self, mask: int, owner: int) -> int:
+        self._owners_memo.clear()
         self._owner_masks[owner] = self._owner_masks.get(owner, 0) | mask
         self._free_mask &= ~mask
-        self._free_cache = None
-        return frozenset(ids)
+        return mask
 
-    def release(self, procs: Iterable[int], owner: int) -> None:
-        """Return *procs*, previously allocated to *owner*, to the free pool.
+    def release(self, mask: int, owner: int) -> None:
+        """Return the processors in *mask*, held by *owner*, to the free pool.
 
         All-or-nothing: ownership of the *whole* request is checked with a
         single mask comparison before any state changes, so a partial
@@ -227,27 +210,23 @@ class Cluster:
             catches double-release and ownership-confusion bugs at the
             point of the mistake instead of corrupting the free pool.
         """
-        mask = mask_from_ids(procs)
         if not mask:
             return
         owned = self._owner_masks.get(owner, 0)
         bad = mask & ~owned
         if bad:
             p = (bad & -bad).bit_length() - 1
-            actual = self._proc_owner[p] if 0 <= p < self.n_procs else None
             raise AllocationError(
                 f"release of processor {p} by job {owner}, "
-                f"but it is owned by {actual!r}"
+                f"but it is owned by {self.owner_of(p)!r}"
             )
+        self._owners_memo.clear()
         remaining = owned & ~mask
         if remaining:
             self._owner_masks[owner] = remaining
         else:
             del self._owner_masks[owner]
-        for p in iter_bits(mask):
-            self._proc_owner[p] = None
         self._free_mask |= mask
-        self._free_cache = None
 
     # ------------------------------------------------------------------
     # integrity
@@ -267,14 +246,6 @@ class Cluster:
             raise AllocationError("processor lost from the pool")
         if (owned_mask | self._free_mask) & ~self._full_mask:
             raise AllocationError("processor id out of range")
-        for p in range(self.n_procs):
-            owner = self._proc_owner[p]
-            if owner is not None and not (self._owner_masks.get(owner, 0) >> p & 1):
-                raise AllocationError(f"proc {p} owner array disagrees with masks")
-            if owner is None and not (self._free_mask >> p & 1):
-                raise AllocationError(f"proc {p} busy but has no owner")
-            if owner is not None and (self._free_mask >> p & 1):
-                raise AllocationError(f"proc {p} free but has an owner")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

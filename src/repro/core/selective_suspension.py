@@ -29,9 +29,9 @@ Since the policy-kernel refactor the sweep engine itself lives in
 :class:`repro.schedulers.policy.SweepPreemption`; this module keeps the
 scheme class as a declarative composition (suspension-priority queue,
 no reservations, greedy fills, sweep preemption) plus the back-compat
-accessors (`criteria`, `sweep`, `_place`, `_pinned_procs`) that tests
-and benchmarks use.  The TSS refinement (per-category preemption
-limits) is the same composition with a ``limits`` table.
+accessors (`criteria`, `sweep`) that tests and benchmarks use.  The
+TSS refinement (per-category preemption limits) is the same
+composition with a ``limits`` table.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.schedulers.policy import (
     SweepPreemption,
     primary_denial_cause,
 )
-from repro.workload.job import Job
 
 __all__ = [
     "SelectiveSuspensionScheduler",
@@ -109,12 +108,6 @@ class SelectiveSuspensionScheduler(PolicyKernel):
 
     def sweep(self, allow_suspension: bool) -> None:
         self._engine.sweep(allow_suspension)
-
-    def _place(self, job: Job, preferred: frozenset[int] = frozenset()) -> frozenset[int]:
-        return self._engine._place(job, preferred)
-
-    def _pinned_procs(self) -> set[int]:
-        return self._engine._pinned_procs()
 
     def describe(self) -> str:
         return (

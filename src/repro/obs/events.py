@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.cluster.bitset import mask_to_ids
 from repro.obs.counters import TraceCounters
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -224,11 +225,15 @@ class Tracer:
         self,
         t: float,
         job: "Job",
-        procs: frozenset[int],
+        mask: int,
         resumed: bool,
         via: str | None,
     ) -> None:
-        """A job moved queue -> processors (start / backfill / resume)."""
+        """A job moved queue -> processors (start / backfill / resume).
+
+        *mask* is the job's processor bitmask; the record lists its ids
+        ascending.
+        """
         if resumed:
             etype = "resume"
             self.counters.resumes += 1
@@ -245,8 +250,8 @@ class Tracer:
             etype,
             job.job_id,
             {
-                "procs": sorted(procs),
-                "width": len(procs),
+                "procs": list(mask_to_ids(mask)),
+                "width": mask.bit_count(),
                 "via": via,
                 "pending_overhead": job.pending_overhead,
             },
@@ -256,7 +261,7 @@ class Tracer:
         self,
         t: float,
         job: "Job",
-        procs: frozenset[int],
+        mask: int,
         preemptor: int | None,
         overhead_added: float,
     ) -> None:
@@ -267,8 +272,8 @@ class Tracer:
             "suspend",
             job.job_id,
             {
-                "procs": sorted(procs),
-                "width": len(procs),
+                "procs": list(mask_to_ids(mask)),
+                "width": mask.bit_count(),
                 "preemptor": preemptor,
                 "overhead_added": overhead_added,
                 "suspensions": job.suspension_count,
@@ -276,7 +281,7 @@ class Tracer:
             },
         )
 
-    def kill(self, t: float, job: "Job", procs: frozenset[int], wasted: float) -> None:
+    def kill(self, t: float, job: "Job", mask: int, wasted: float) -> None:
         self.counters.kills += 1
         self._queue_delta(t, +1)
         self._emit(
@@ -284,8 +289,8 @@ class Tracer:
             "kill",
             job.job_id,
             {
-                "procs": sorted(procs),
-                "width": len(procs),
+                "procs": list(mask_to_ids(mask)),
+                "width": mask.bit_count(),
                 "wasted": wasted,
                 "kills": job.kill_count,
             },

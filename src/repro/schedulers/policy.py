@@ -48,7 +48,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol
 
-from repro.cluster.bitset import iter_bits, mask_from_ids, take_lowest
+from repro.cluster.bitset import take_lowest
 from repro.core.priorities import (
     PreemptionCriteria,
     instantaneous_priority,
@@ -337,7 +337,7 @@ class HeadReservation(ReservationPolicy):
         driver = self.driver
         profile = AvailabilityProfile(driver.cluster.n_procs, driver.now)
         for running in driver.running_jobs():
-            profile.claim_running(len(running.allocated_procs), running.expected_end)
+            profile.claim_running(running.procs, running.expected_end)
         return profile
 
     def plan_head(self, head: Job) -> HeadPlan:
@@ -465,7 +465,7 @@ class PerJobReservations(ReservationPolicy):
         driver = self.driver
         profile = AvailabilityProfile(driver.cluster.n_procs, driver.now)
         for running in driver.running_jobs():
-            profile.claim_running(len(running.allocated_procs), running.expected_end)
+            profile.claim_running(running.procs, running.expected_end)
         return profile
 
     def _profile_with_reservations(self, exclude: int) -> AvailabilityProfile:
@@ -827,7 +827,7 @@ class SweepPreemption(PreemptionPolicy):
                     victims = [
                         (
                             p,
-                            len(r.allocated_procs),
+                            r.procs,
                             not protected or self.victim_preemptable(r, p),
                         )
                         for p, _, r in ranked
@@ -880,7 +880,7 @@ class SweepPreemption(PreemptionPolicy):
         suspended jobs must reacquire) is snapshotted at sweep entry and
         updated incrementally: a suspend pins the victim's processors,
         a resume unpins the job's -- the only two events that can change
-        it mid-sweep -- replacing the per-:meth:`_place` rescan of the
+        it mid-sweep -- replacing the per-:meth:`_place_mask` rescan of the
         whole queue.
         """
         driver = self.driver
@@ -997,15 +997,6 @@ class SweepPreemption(PreemptionPolicy):
             pinned |= j.suspended_mask  # 0 unless awaiting local resume
         return pinned
 
-    def _pinned_procs(self) -> set[int]:
-        """Processors some suspended job must reacquire to resume."""
-        return set(iter_bits(self._pinned_mask()))
-
-    def _place(self, job: Job, preferred: frozenset[int] = frozenset()) -> frozenset[int]:
-        """Choose processors for a fresh start (id-set facade over
-        :meth:`_place_mask`, kept for tests and scheme classes)."""
-        return frozenset(iter_bits(self._place_mask(job, mask_from_ids(preferred))))
-
     def _place_mask(self, job: Job, preferred_mask: int = 0) -> int:
         """Choose processors for a fresh start.
 
@@ -1037,7 +1028,7 @@ class SweepPreemption(PreemptionPolicy):
     ) -> bool:
         driver = self.driver
         if driver.cluster.can_allocate(job.procs):
-            driver.start_job(job, procs=self._place(job))
+            driver.start_job(job, mask=self._place_mask(job))
             self._note_started(job, priorities)
             return True
         if not allow_suspension:
@@ -1086,7 +1077,7 @@ class SweepPreemption(PreemptionPolicy):
                 break
             if victim_id in dead:
                 continue
-            width = len(victim.allocated_procs)
+            width = victim.procs
             if protected and not self.victim_preemptable(victim, victim_priority):
                 if verdicts is not None:
                     verdicts.append(
@@ -1148,12 +1139,12 @@ class SweepPreemption(PreemptionPolicy):
         chosen.clear()
         covered_free = free
         for victim in sorted(
-            candidates, key=lambda c: (-len(c.allocated_procs), c.job_id)
+            candidates, key=lambda c: (-c.procs, c.job_id)
         ):
             if covered_free >= job.procs:
                 break
             chosen.append(victim)
-            covered_free += len(victim.allocated_procs)
+            covered_free += victim.procs
         if tracer is not None:
             tracer.decision(
                 now,
@@ -1176,8 +1167,7 @@ class SweepPreemption(PreemptionPolicy):
         # run the preemptor on its victims' processors (the pseudocode's
         # available_processor_set) so each victim's resume set clears
         # when the preemptor finishes
-        placed = self._place_mask(job, preferred_mask=freed_mask)
-        driver.start_job(job, procs=frozenset(iter_bits(placed)))
+        driver.start_job(job, mask=self._place_mask(job, preferred_mask=freed_mask))
         self._note_started(job, priorities)
         return True
 
@@ -1246,7 +1236,7 @@ class SweepPreemption(PreemptionPolicy):
                     victim_verdict(
                         victim.job_id,
                         victim_priority,
-                        len(victim.allocated_procs),
+                        victim.procs,
                         cause or "candidate",
                         self.victim_protection_limit(victim)
                         if cause == "category_limit"
@@ -1411,7 +1401,7 @@ class TimeslicePreemption(PreemptionPolicy):
                 if running is None:
                     running = driver.running_jobs()
                 eligible = sorted(
-                    (self._eligible_at(r, job, now), len(r.allocated_procs)) for r in running
+                    (self._eligible_at(r, job, now), r.procs) for r in running
                 )
                 at = math.inf
                 covered = free
@@ -1477,7 +1467,7 @@ class TimeslicePreemption(PreemptionPolicy):
             if freed >= job.procs:
                 break
             chosen.append(victim)
-            freed += len(victim.allocated_procs)
+            freed += victim.procs
         if freed < job.procs:
             self._record_denial(job, limit_priority=None, path="arrival")
             return False
@@ -1509,7 +1499,7 @@ class TimeslicePreemption(PreemptionPolicy):
                 verdict = "priority"
             else:
                 verdict = "candidate"
-            out.append(victim_verdict(r.job_id, p, len(r.allocated_procs), verdict))
+            out.append(victim_verdict(r.job_id, p, r.procs, verdict))
         return out
 
     def _record_denial(
@@ -1608,7 +1598,7 @@ class TimeslicePreemption(PreemptionPolicy):
             if freed >= job.procs:
                 break
             chosen.append(victim)
-            freed += len(victim.allocated_procs)
+            freed += victim.procs
         if freed < job.procs:
             self._record_denial(job, limit_priority=my_priority, path="sweep")
             return False
@@ -1657,7 +1647,7 @@ class TimeslicePreemption(PreemptionPolicy):
                     victim_verdict(
                         victim.job_id,
                         self._priority(victim, now),
-                        len(victim.allocated_procs),
+                        victim.procs,
                         cause or "candidate",
                     )
                 )

@@ -18,7 +18,8 @@ Checks (each corresponds to an invariant in DESIGN.md §5):
   turnaround == wait + run time exactly; the run's total suspensions
   equals the sum of per-job counts;
 * non-preemptive runs: no job was ever suspended;
-* clock closure: no pending overhead or residual useful work remains.
+* clock closure: no pending overhead or residual useful work remains,
+  and no finished job still holds or is pinned to processors.
 
 :func:`audit_result` raises :class:`AuditError` with every violation
 listed (not just the first), so a failing audit reads like a report.
@@ -111,8 +112,10 @@ def audit_result(
                 )
         if job.suspension_count < 0:
             v.append(f"job {jid}: negative suspension count")
-        if job.allocated_procs:
+        if job.allocated_mask:
             v.append(f"job {jid}: still holds processors after finishing")
+        if job.suspended_mask:
+            v.append(f"job {jid}: still pinned to processors after finishing")
 
         area += job.procs * (job.run_time + job.total_overhead + job.wasted_time)
         last_finish = max(last_finish, job.finish_time)

@@ -289,16 +289,11 @@ class SchedulingSimulation:
             return self.cluster.can_allocate_mask(job.suspended_mask)
         return self.cluster.can_allocate(job.procs)
 
-    def start_job(
-        self,
-        job: Job,
-        procs: frozenset[int] | None = None,
-        via: str | None = None,
-    ) -> frozenset[int]:
-        """(Re)start a queued job immediately; returns its processors.
+    def start_job(self, job: Job, mask: int | None = None, via: str | None = None) -> int:
+        """(Re)start a queued job immediately; returns its processor mask.
 
-        Resumed jobs receive exactly their original processor set (local
-        preemption).  For fresh starts, *procs* lets the scheduler place
+        Resumed jobs receive exactly their original processors (local
+        preemption).  For fresh starts, *mask* lets the scheduler place
         the job explicitly (the SS pseudocode schedules a preemptor on
         its victims' processors so they unpin when it finishes);
         otherwise the cluster's allocation policy chooses.  Raises on any
@@ -314,22 +309,23 @@ class SchedulingSimulation:
         resumed = job.needs_specific_procs or (self.migratable and job.was_suspended)
         self._account_busy()  # close the interval at the old busy level
         if job.needs_specific_procs:
-            if procs is not None and frozenset(procs) != job.suspended_procs:
+            if mask is not None and mask != job.suspended_mask:
                 raise SimulationError(
                     f"start_job: job {job.job_id} must resume on its "
                     "original processors"
                 )
-            procs = self.cluster.allocate_mask(job.suspended_mask, job.job_id)
-        elif procs is not None:
-            if len(procs) != job.procs:
+            mask = self.cluster.allocate_mask(job.suspended_mask, job.job_id)
+        elif mask is not None:
+            width = mask.bit_count()
+            if width != job.procs:
                 raise SimulationError(
-                    f"start_job: job {job.job_id} given {len(procs)} "
+                    f"start_job: job {job.job_id} given {width} "
                     f"processors, requests {job.procs}"
                 )
-            procs = self.cluster.allocate_specific(procs, job.job_id)
+            mask = self.cluster.allocate_mask(mask, job.job_id)
         else:
-            procs = self.cluster.allocate(job.procs, job.job_id)
-        job.mark_started(self.now, procs)
+            mask = self.cluster.allocate(job.procs, job.job_id)
+        job.mark_started(self.now, mask)
         job.last_dispatch_time = self.now
         job.expected_end = self.now + job.remaining_estimate()
         occupancy = max(job.remaining_useful + job.pending_overhead, 0.0)
@@ -340,8 +336,8 @@ class SchedulingSimulation:
         del self._queued[job.job_id]
         self._running[job.job_id] = job
         if self.tracer is not None:
-            self.tracer.dispatch(self.now, job, procs, resumed, via)
-        return procs
+            self.tracer.dispatch(self.now, job, mask, resumed, via)
+        return mask
 
     def suspend_job(self, job: Job, preemptor: int | None = None) -> None:
         """Suspend a running job; it re-enters the queue tail.
@@ -372,11 +368,11 @@ class SchedulingSimulation:
         if ev is not None:
             self.loop.cancel(ev)
         self._account_busy()
-        released = job.allocated_procs
+        released = job.allocated_mask
         self.cluster.release(released, job.job_id)
         job.mark_suspended(self.now)
         if self.migratable:
-            job.suspended_procs = frozenset()  # may restart anywhere
+            job.suspended_mask = 0  # may restart anywhere
         del self._running[job.job_id]
         self._queued[job.job_id] = job
         self.total_suspensions += 1
@@ -384,8 +380,8 @@ class SchedulingSimulation:
             self.tracer.suspend(self.now, job, released, preemptor, overhead_added)
 
     def start_speculative(
-        self, job: Job, deadline: float, procs: frozenset[int] | None = None
-    ) -> frozenset[int]:
+        self, job: Job, deadline: float, mask: int | None = None
+    ) -> int:
         """Start *job* now, to be killed-and-requeued at *deadline*.
 
         Speculative backfilling (Perkovic & Keleher): the job gets a
@@ -402,7 +398,7 @@ class SchedulingSimulation:
             )
         if deadline <= self.now:
             raise SimulationError("start_speculative: deadline not in the future")
-        got = self.start_job(job, procs=procs, via="speculative")
+        got = self.start_job(job, mask=mask, via="speculative")
         self.loop.at(deadline, EventKind.JOB_KILL, job, epoch=job.epoch)
         return got
 
@@ -417,7 +413,7 @@ class SchedulingSimulation:
         if ev is not None:
             self.loop.cancel(ev)
         self._account_busy()
-        released = job.allocated_procs
+        released = job.allocated_mask
         wasted = max(self.now - job.last_dispatch_time, 0.0)
         self.cluster.release(released, job.job_id)
         job.mark_killed(self.now)
@@ -455,7 +451,7 @@ class SchedulingSimulation:
         job.pending_overhead = 0.0
         job.remaining_useful = 0.0
         self._account_busy()
-        self.cluster.release(job.allocated_procs, job.job_id)
+        self.cluster.release(job.allocated_mask, job.job_id)
         job.mark_finished(self.now)
         del self._running[job.job_id]
         self._finished.append(job)

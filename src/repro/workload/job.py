@@ -23,6 +23,17 @@ Both are integrals over state intervals, updated lazily from the
 timestamps of the last state change, so they are exact regardless of how
 often the simulator samples them.
 
+Processor sets
+--------------
+
+A job's processors are integer bitmasks (bit ``p`` set = processor
+``p``; see :mod:`repro.cluster.bitset`), the same representation the
+cluster and the schedulers use, so a dispatch or a suspension moves one
+int.  :attr:`Job.allocated_mask` holds the processors of the current
+run period and :attr:`Job.suspended_mask` the ones a local resume must
+reacquire; :attr:`Job.allocated_procs` and :attr:`Job.suspended_procs`
+are read-only id-set views for tests and interactive use.
+
 Overhead accounting
 -------------------
 
@@ -38,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.cluster.bitset import mask_from_ids
+from repro.cluster.bitset import iter_bits
 
 
 class JobState(Enum):
@@ -47,7 +58,7 @@ class JobState(Enum):
     #: Known to the workload, not yet submitted (before its arrival event).
     PENDING = "pending"
     #: Submitted and waiting in the queue (never run, or between runs
-    #: after being suspended -- see :attr:`Job.suspended_procs`).
+    #: after being suspended -- see :attr:`Job.suspended_mask`).
     QUEUED = "queued"
     #: Holding processors and making progress (or paying overhead).
     RUNNING = "running"
@@ -98,16 +109,11 @@ class Job:
     first_start_time: float | None = field(default=None, repr=False)
     #: completion time (None until finished)
     finish_time: float | None = field(default=None, repr=False)
-    #: processors currently held while RUNNING (empty otherwise)
-    allocated_procs: frozenset[int] = field(default_factory=frozenset, repr=False)
-    #: processors held at the moment of the last suspension; a resume must
-    #: reacquire exactly this set (local preemption).  Empty if never
-    #: suspended or currently running.
-    suspended_procs: frozenset[int] = field(default_factory=frozenset, repr=False)
-    #: bitmask twin of :attr:`suspended_procs`, maintained in lockstep by
-    #: the ``mark_*`` transitions.  Schedulers probe resume feasibility
-    #: against the cluster's free bitmask on every sweep; caching the
-    #: mask here makes that probe O(words) with no per-proc conversion.
+    #: mask of the processors held while RUNNING (0 otherwise)
+    allocated_mask: int = field(default=0, repr=False)
+    #: mask of the processors held at the last suspension; a resume must
+    #: reacquire exactly these (local preemption).  0 if never suspended,
+    #: currently running, or free to restart anywhere (migratable runs)
     suspended_mask: int = field(default=0, repr=False)
     #: number of times the job has been suspended
     suspension_count: int = field(default=0, repr=False)
@@ -219,23 +225,23 @@ class Job:
         self._advance_clocks(now)
         self.state = JobState.QUEUED
 
-    def mark_started(self, now: float, procs: frozenset[int]) -> None:
-        """QUEUED -> RUNNING with processor set *procs*."""
+    def mark_started(self, now: float, mask: int) -> None:
+        """QUEUED -> RUNNING on the processors in *mask*."""
         self._require_state(JobState.QUEUED, "start")
-        if len(procs) != self.procs:
+        width = mask.bit_count()
+        if width != self.procs:
             raise ValueError(
-                f"job {self.job_id}: started on {len(procs)} processors, "
+                f"job {self.job_id}: started on {width} processors, "
                 f"requested {self.procs}"
             )
-        if self.suspended_procs and procs != self.suspended_procs:
+        if self.suspended_mask and mask != self.suspended_mask:
             raise ValueError(
                 f"job {self.job_id}: resume on a different processor set "
                 "(local preemption requires the original processors)"
             )
         self._advance_clocks(now)
         self.state = JobState.RUNNING
-        self.allocated_procs = procs
-        self.suspended_procs = frozenset()
+        self.allocated_mask = mask
         self.suspended_mask = 0
         if self.first_start_time is None:
             self.first_start_time = now
@@ -245,9 +251,8 @@ class Job:
         self._require_state(JobState.RUNNING, "suspend")
         self._advance_clocks(now)
         self.state = JobState.QUEUED
-        self.suspended_procs = self.allocated_procs
-        self.suspended_mask = mask_from_ids(self.suspended_procs)
-        self.allocated_procs = frozenset()
+        self.suspended_mask = self.allocated_mask
+        self.allocated_mask = 0
         self.suspension_count += 1
         self.epoch += 1
 
@@ -267,8 +272,7 @@ class Job:
         if self.last_dispatch_time >= 0:
             self.wasted_time += max(now - self.last_dispatch_time, 0.0)
         self.state = JobState.QUEUED
-        self.allocated_procs = frozenset()
-        self.suspended_procs = frozenset()
+        self.allocated_mask = 0
         self.suspended_mask = 0
         self.remaining_useful = self.run_time
         self.pending_overhead = 0.0
@@ -280,7 +284,7 @@ class Job:
         self._require_state(JobState.RUNNING, "finish")
         self._advance_clocks(now)
         self.state = JobState.FINISHED
-        self.allocated_procs = frozenset()
+        self.allocated_mask = 0
         self.finish_time = now
         self.epoch += 1
 
@@ -300,8 +304,18 @@ class Job:
 
     @property
     def needs_specific_procs(self) -> bool:
-        """True when the job may only (re)start on ``suspended_procs``."""
-        return bool(self.suspended_procs)
+        """True when the job may only (re)start on ``suspended_mask``."""
+        return bool(self.suspended_mask)
+
+    @property
+    def allocated_procs(self) -> frozenset[int]:
+        """Ids of the processors held while RUNNING (empty otherwise)."""
+        return frozenset(iter_bits(self.allocated_mask))
+
+    @property
+    def suspended_procs(self) -> frozenset[int]:
+        """Ids of the processors a local resume must reacquire."""
+        return frozenset(iter_bits(self.suspended_mask))
 
     def turnaround(self) -> float:
         """Finish minus submit; only valid once finished."""

@@ -95,6 +95,20 @@ def test_audit_detects_unpaid_overhead():
         audit_result(result)
 
 
+def test_audit_detects_processors_held_after_finish():
+    result = _clean_result()
+    result.jobs[0].allocated_mask = 0b11
+    with pytest.raises(AuditError, match="still holds processors"):
+        audit_result(result)
+
+
+def test_audit_detects_pin_left_after_finish():
+    result = _clean_result()
+    result.jobs[0].suspended_mask = 0b11
+    with pytest.raises(AuditError, match="still pinned"):
+        audit_result(result)
+
+
 def test_audit_detects_phantom_preemption():
     result = _clean_result()
     with pytest.raises(AuditError) as err:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.allocation import ContiguousBestFit, LowestIdFirst, RandomAllocation
+from repro.cluster.bitset import mask_from_ids, mask_to_ids
 from repro.cluster.machine import AllocationError, Cluster
 
 
@@ -12,7 +13,7 @@ def test_initial_state_all_free():
     c = Cluster(16)
     assert c.free_count == 16
     assert c.busy_count == 0
-    assert c.free_set() == frozenset(range(16))
+    assert c.free_mask == mask_from_ids(range(16))
 
 
 def test_invalid_size_rejected():
@@ -25,14 +26,14 @@ def test_invalid_size_rejected():
 def test_allocate_lowest_ids_by_default():
     c = Cluster(8)
     procs = c.allocate(3, owner=1)
-    assert procs == frozenset({0, 1, 2})
+    assert procs == mask_from_ids({0, 1, 2})
     assert c.free_count == 5
 
 
 def test_allocate_tracks_ownership():
     c = Cluster(8)
     procs = c.allocate(2, owner=42)
-    for p in procs:
+    for p in mask_to_ids(procs):
         assert c.owner_of(p) == 42
         assert not c.is_free(p)
 
@@ -61,7 +62,7 @@ def test_release_returns_processors():
     procs = c.allocate(4, owner=1)
     c.release(procs, owner=1)
     assert c.free_count == 8
-    assert all(c.owner_of(p) is None for p in procs)
+    assert all(c.owner_of(p) is None for p in mask_to_ids(procs))
 
 
 def test_release_wrong_owner_raises():
@@ -76,10 +77,10 @@ def test_release_partial_ownership_leaves_state_untouched():
     processors must fail *before* any state changes, not after freeing
     the owned half (regression test for the single-pass rewrite)."""
     c = Cluster(8)
-    mine = c.allocate_specific({0, 1}, owner=1)
-    c.allocate_specific({2, 3}, owner=2)
+    mine = c.allocate_mask(mask_from_ids({0, 1}), owner=1)
+    c.allocate_mask(mask_from_ids({2, 3}), owner=2)
     with pytest.raises(AllocationError, match="owned by"):
-        c.release({1, 2}, owner=1)  # proc 1 is owner 1's, proc 2 is not
+        c.release(mask_from_ids({1, 2}), owner=1)  # proc 1 is owner 1's, proc 2 is not
     # nothing moved: both allocations intact, free pool unchanged
     assert c.free_count == 4
     assert c.owner_of(1) == 1
@@ -94,9 +95,9 @@ def test_release_partial_ownership_leaves_state_untouched():
 
 def test_release_mix_with_free_processor_leaves_state_untouched():
     c = Cluster(8)
-    c.allocate_specific({0, 1}, owner=1)
+    c.allocate_mask(mask_from_ids({0, 1}), owner=1)
     with pytest.raises(AllocationError, match="owned by None"):
-        c.release({1, 5}, owner=1)  # proc 5 is free
+        c.release(mask_from_ids({1, 5}), owner=1)  # proc 5 is free
     assert c.free_count == 6
     assert c.owner_of(1) == 1
     c.check_invariants()
@@ -105,7 +106,7 @@ def test_release_mix_with_free_processor_leaves_state_untouched():
 def test_release_empty_request_is_noop():
     c = Cluster(8)
     c.allocate(2, owner=1)
-    c.release(set(), owner=1)
+    c.release(0, owner=1)
     assert c.free_count == 6
     c.check_invariants()
 
@@ -121,27 +122,27 @@ def test_double_release_raises():
 def test_release_free_processor_raises():
     c = Cluster(8)
     with pytest.raises(AllocationError):
-        c.release({0}, owner=1)
+        c.release(mask_from_ids({0}), owner=1)
 
 
 def test_allocate_specific_exact_set():
     c = Cluster(8)
-    procs = c.allocate_specific({2, 5, 7}, owner=9)
-    assert procs == frozenset({2, 5, 7})
+    procs = c.allocate_mask(mask_from_ids({2, 5, 7}), owner=9)
+    assert procs == mask_from_ids({2, 5, 7})
     assert c.owner_of(5) == 9
 
 
 def test_allocate_specific_busy_raises():
     c = Cluster(8)
-    c.allocate_specific({2}, owner=1)
+    c.allocate_mask(mask_from_ids({2}), owner=1)
     with pytest.raises(AllocationError, match="not free"):
-        c.allocate_specific({2, 3}, owner=2)
+        c.allocate_mask(mask_from_ids({2, 3}), owner=2)
 
 
 def test_allocate_specific_empty_raises():
     c = Cluster(8)
     with pytest.raises(AllocationError):
-        c.allocate_specific(set(), owner=1)
+        c.allocate_mask(0, owner=1)
 
 
 def test_can_allocate_counts():
@@ -154,18 +155,18 @@ def test_can_allocate_counts():
 
 def test_can_allocate_specific():
     c = Cluster(4)
-    c.allocate_specific({0}, owner=1)
-    assert c.can_allocate_specific({1, 2})
-    assert not c.can_allocate_specific({0, 1})
+    c.allocate_mask(mask_from_ids({0}), owner=1)
+    assert c.can_allocate_mask(mask_from_ids({1, 2}))
+    assert not c.can_allocate_mask(mask_from_ids({0, 1}))
 
 
 def test_owners_overlapping():
     c = Cluster(8)
-    c.allocate_specific({0, 1}, owner=10)
-    c.allocate_specific({2, 3}, owner=20)
-    assert c.owners_overlapping({1, 2}) == {10, 20}
-    assert c.owners_overlapping({4, 5}) == set()
-    assert c.owners_overlapping({0}) == {10}
+    c.allocate_mask(mask_from_ids({0, 1}), owner=10)
+    c.allocate_mask(mask_from_ids({2, 3}), owner=20)
+    assert set(c.owners_in_mask(mask_from_ids({1, 2}))) == {10, 20}
+    assert set(c.owners_in_mask(mask_from_ids({4, 5}))) == set()
+    assert set(c.owners_in_mask(mask_from_ids({0}))) == {10}
 
 
 def test_interleaved_allocate_release_consistency():
@@ -191,7 +192,7 @@ def test_allocation_fills_released_holes():
     c.allocate(2, owner=2)  # {2,3}
     c.release(a, owner=1)
     new = c.allocate(3, owner=3)
-    assert new == frozenset({0, 1, 4})
+    assert new == mask_from_ids({0, 1, 4})
 
 
 # ----------------------------------------------------------------------
@@ -236,9 +237,9 @@ def test_contiguous_best_fit_falls_back_when_fragmented():
 
 def test_cluster_with_custom_policy():
     c = Cluster(10, policy=ContiguousBestFit())
-    c.allocate_specific({0, 1, 2}, owner=1)
+    c.allocate_mask(mask_from_ids({0, 1, 2}), owner=1)
     got = c.allocate(2, owner=2)
-    assert got == frozenset({3, 4})
+    assert got == mask_from_ids({3, 4})
 
 
 def test_contiguous_best_fit_fallback_through_cluster():
@@ -246,9 +247,9 @@ def test_contiguous_best_fit_fallback_through_cluster():
     with no contiguous run large enough, the job spans fragments,
     lowest ids first."""
     c = Cluster(8, policy=ContiguousBestFit())
-    c.allocate_specific({1, 3, 5, 7}, owner=1)  # free = {0,2,4,6}
+    c.allocate_mask(mask_from_ids({1, 3, 5, 7}), owner=1)  # free = {0,2,4,6}
     got = c.allocate(3, owner=2)
-    assert got == frozenset({0, 2, 4})
+    assert got == mask_from_ids({0, 2, 4})
     c.check_invariants()
 
 
@@ -279,7 +280,7 @@ def test_lowest_id_select_mask_matches_select():
 # ----------------------------------------------------------------------
 def test_free_mask_and_owner_mask_track_allocations():
     c = Cluster(8)
-    c.allocate_specific({0, 2}, owner=1)
+    c.allocate_mask(mask_from_ids({0, 2}), owner=1)
     assert c.owner_mask(1) == 0b101
     assert c.owner_mask(99) == 0
     assert c.free_mask == 0b11111111 & ~0b101
@@ -290,15 +291,15 @@ def test_free_mask_and_owner_mask_track_allocations():
 def test_allocate_mask_round_trip():
     c = Cluster(8)
     got = c.allocate_mask(0b1100, owner=3)
-    assert got == frozenset({2, 3})
+    assert got == mask_from_ids({2, 3})
     c.release(got, owner=3)
     assert c.free_count == 8
 
 
 def test_owners_in_mask_dedupes_by_first_held_processor():
     c = Cluster(16)
-    c.allocate_specific({0, 5, 6}, owner=10)
-    c.allocate_specific({1, 2}, owner=20)
+    c.allocate_mask(mask_from_ids({0, 5, 6}), owner=10)
+    c.allocate_mask(mask_from_ids({1, 2}), owner=20)
     # owner 10 appears once even though it holds three matching procs;
     # order follows each owner's first processor inside the query mask
     query = sum(1 << p for p in (1, 2, 5, 6, 0, 9))
@@ -324,7 +325,7 @@ def test_misbehaving_policy_busy_processor_rejected():
             return (1 << count) - 1  # always the lowest ids, free or not
 
     c = Cluster(8, policy=StompPolicy())
-    c.allocate_specific({0}, owner=1)
+    c.allocate_mask(mask_from_ids({0}), owner=1)
     with pytest.raises(AllocationError, match="outside the free pool"):
         c.allocate(2, owner=2)
     c.check_invariants()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.bitset import mask_from_ids
 from repro.workload.job import Job, JobState, fresh_copies
 from tests.conftest import make_job
 
@@ -42,7 +43,7 @@ def test_normal_lifecycle():
     j = make_job(submit=0.0, run=50.0, procs=2)
     j.mark_submitted(0.0)
     assert j.state is JobState.QUEUED
-    j.mark_started(10.0, frozenset({0, 1}))
+    j.mark_started(10.0, mask_from_ids({0, 1}))
     assert j.state is JobState.RUNNING
     assert j.first_start_time == 10.0
     j.mark_finished(60.0)
@@ -54,7 +55,7 @@ def test_normal_lifecycle():
 def test_start_requires_queued():
     j = make_job()
     with pytest.raises(ValueError, match="cannot start"):
-        j.mark_started(0.0, frozenset({0}))
+        j.mark_started(0.0, mask_from_ids({0}))
 
 
 def test_submit_twice_rejected():
@@ -82,15 +83,18 @@ def test_start_with_wrong_proc_count():
     j = make_job(procs=3)
     j.mark_submitted(0.0)
     with pytest.raises(ValueError, match="3"):
-        j.mark_started(1.0, frozenset({0}))
+        j.mark_started(1.0, mask_from_ids({0}))
 
 
 def test_suspend_remembers_processors():
     j = make_job(procs=2)
     j.mark_submitted(0.0)
-    j.mark_started(0.0, frozenset({4, 5}))
+    j.mark_started(0.0, mask_from_ids({4, 5}))
     j.mark_suspended(10.0)
     assert j.state is JobState.QUEUED
+    assert j.suspended_mask == mask_from_ids({4, 5})
+    assert j.allocated_mask == 0
+    # the id-set views derive from the masks
     assert j.suspended_procs == frozenset({4, 5})
     assert j.allocated_procs == frozenset()
     assert j.suspension_count == 1
@@ -100,22 +104,22 @@ def test_suspend_remembers_processors():
 def test_resume_must_use_same_processors():
     j = make_job(procs=2)
     j.mark_submitted(0.0)
-    j.mark_started(0.0, frozenset({4, 5}))
+    j.mark_started(0.0, mask_from_ids({4, 5}))
     j.mark_suspended(10.0)
     with pytest.raises(ValueError, match="different processor set"):
-        j.mark_started(20.0, frozenset({0, 1}))
-    j.mark_started(20.0, frozenset({4, 5}))
+        j.mark_started(20.0, mask_from_ids({0, 1}))
+    j.mark_started(20.0, mask_from_ids({4, 5}))
     assert j.state is JobState.RUNNING
 
 
 def test_epoch_bumps_on_suspend_and_finish():
     j = make_job(procs=1)
     j.mark_submitted(0.0)
-    j.mark_started(0.0, frozenset({0}))
+    j.mark_started(0.0, mask_from_ids({0}))
     assert j.epoch == 0
     j.mark_suspended(5.0)
     assert j.epoch == 1
-    j.mark_started(6.0, frozenset({0}))
+    j.mark_started(6.0, mask_from_ids({0}))
     j.mark_finished(100.0)
     assert j.epoch == 2
 
@@ -123,9 +127,9 @@ def test_epoch_bumps_on_suspend_and_finish():
 def test_first_start_time_not_overwritten_on_resume():
     j = make_job(procs=1)
     j.mark_submitted(0.0)
-    j.mark_started(5.0, frozenset({0}))
+    j.mark_started(5.0, mask_from_ids({0}))
     j.mark_suspended(10.0)
-    j.mark_started(20.0, frozenset({0}))
+    j.mark_started(20.0, mask_from_ids({0}))
     assert j.first_start_time == 5.0
 
 
@@ -136,7 +140,7 @@ def test_wait_clock_accrues_only_while_queued():
     j = make_job(submit=0.0, run=100.0)
     j.mark_submitted(0.0)
     assert j.waited(30.0) == 30.0
-    j.mark_started(30.0, frozenset({0}))
+    j.mark_started(30.0, mask_from_ids({0}))
     assert j.waited(80.0) == 30.0  # frozen while running
     j.mark_suspended(80.0)
     assert j.waited(100.0) == 50.0  # grows again while suspended
@@ -146,7 +150,7 @@ def test_run_clock_accrues_only_while_running():
     j = make_job(submit=0.0, run=100.0)
     j.mark_submitted(0.0)
     assert j.accrued(10.0) == 0.0
-    j.mark_started(10.0, frozenset({0}))
+    j.mark_started(10.0, mask_from_ids({0}))
     assert j.accrued(35.0) == 25.0
     j.mark_suspended(40.0)
     assert j.accrued(90.0) == 30.0
@@ -191,7 +195,7 @@ def test_xfactor_fast_for_short_slow_for_long():
 def test_xfactor_frozen_while_running():
     j = make_job(submit=0.0, run=100.0)
     j.mark_submitted(0.0)
-    j.mark_started(50.0, frozenset({0}))
+    j.mark_started(50.0, mask_from_ids({0}))
     assert j.xfactor(90.0) == pytest.approx(1.5)
 
 
@@ -204,7 +208,7 @@ def test_instantaneous_xfactor_infinite_before_running():
 def test_instantaneous_xfactor_decays_with_service():
     j = make_job(run=1000.0)
     j.mark_submitted(0.0)
-    j.mark_started(100.0, frozenset({0}))
+    j.mark_started(100.0, mask_from_ids({0}))
     early = j.instantaneous_xfactor(110.0)  # (100+10)/10 = 11
     late = j.instantaneous_xfactor(600.0)  # (100+500)/500 = 1.2
     assert early == pytest.approx(11.0)
@@ -244,7 +248,7 @@ def test_turnaround_requires_finish():
 def test_copy_static_resets_dynamic_state():
     j = make_job(job_id=5, submit=3.0, run=50.0, procs=2, memory_mb=256.0)
     j.mark_submitted(3.0)
-    j.mark_started(10.0, frozenset({0, 1}))
+    j.mark_started(10.0, mask_from_ids({0, 1}))
     j.mark_finished(60.0)
     c = j.copy_static()
     assert c.state is JobState.PENDING
@@ -271,7 +275,7 @@ def test_job_identity_semantics():
 def test_mark_killed_resets_progress():
     j = make_job(submit=0.0, run=100.0, procs=2)
     j.mark_submitted(0.0)
-    j.mark_started(0.0, frozenset({0, 1}))
+    j.mark_started(0.0, mask_from_ids({0, 1}))
     j.last_dispatch_time = 0.0  # normally maintained by the driver
     j.remaining_useful = 40.0  # driver would have accounted 60s of work
     j.mark_killed(60.0)
@@ -292,7 +296,7 @@ def test_mark_killed_requires_running():
 def test_killed_job_can_restart_anywhere():
     j = make_job(submit=0.0, run=100.0, procs=2)
     j.mark_submitted(0.0)
-    j.mark_started(0.0, frozenset({0, 1}))
+    j.mark_started(0.0, mask_from_ids({0, 1}))
     j.mark_killed(50.0)
-    j.mark_started(60.0, frozenset({4, 5}))  # different processors: fine
+    j.mark_started(60.0, mask_from_ids({4, 5}))  # different processors: fine
     assert j.state is JobState.RUNNING

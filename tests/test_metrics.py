@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.bitset import mask_from_ids
 from repro.metrics.aggregate import (
     MetricSummary,
     category_shares,
@@ -29,7 +30,7 @@ def finished_job(
 ):
     j = make_job(job_id=job_id, submit=submit, run=run, procs=procs, estimate=estimate)
     j.mark_submitted(submit)
-    j.mark_started(start, frozenset(range(procs)))
+    j.mark_started(start, mask_from_ids(range(procs)))
     j.mark_finished(start + run)
     return j
 

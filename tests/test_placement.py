@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.bitset import mask_from_ids
 from repro.cluster.machine import Cluster
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.sim.driver import SchedulingSimulation
@@ -20,16 +21,16 @@ def bound_scheduler(n_procs=8):
 def test_place_prefers_preferred_set():
     sched, sim = bound_scheduler()
     job = make_job(job_id=1, procs=3)
-    chosen = sched._place(job, preferred=frozenset({5, 6, 7}))
-    assert chosen == frozenset({5, 6, 7})
+    chosen = sched.preemption._place_mask(job, preferred_mask=mask_from_ids({5, 6, 7}))
+    assert chosen == mask_from_ids({5, 6, 7})
 
 
 def test_place_falls_back_beyond_preferred():
     sched, sim = bound_scheduler()
     job = make_job(job_id=1, procs=4)
-    chosen = sched._place(job, preferred=frozenset({6, 7}))
-    assert {6, 7} <= chosen
-    assert len(chosen) == 4
+    chosen = sched.preemption._place_mask(job, preferred_mask=mask_from_ids({6, 7}))
+    assert chosen & mask_from_ids({6, 7}) == mask_from_ids({6, 7})
+    assert chosen.bit_count() == 4
 
 
 def test_place_avoids_pinned_processors():
@@ -38,12 +39,12 @@ def test_place_avoids_pinned_processors():
     pinned_job = make_job(job_id=0, submit=0.0, run=100.0, procs=2)
     pinned_job.mark_submitted(0.0)
     sim._queued[pinned_job.job_id] = pinned_job
-    sim.start_job(pinned_job, procs=frozenset({0, 1}))
+    sim.start_job(pinned_job, mask=mask_from_ids({0, 1}))
     sim.suspend_job(pinned_job)
 
     fresh = make_job(job_id=1, procs=3)
-    chosen = sched._place(fresh)
-    assert not (chosen & {0, 1}), "fresh start must avoid the pinned set"
+    chosen = sched.preemption._place_mask(fresh)
+    assert not (chosen & mask_from_ids({0, 1})), "fresh start must avoid the pinned set"
 
 
 def test_place_uses_pinned_as_last_resort():
@@ -51,12 +52,12 @@ def test_place_uses_pinned_as_last_resort():
     pinned_job = make_job(job_id=0, submit=0.0, run=100.0, procs=2)
     pinned_job.mark_submitted(0.0)
     sim._queued[pinned_job.job_id] = pinned_job
-    sim.start_job(pinned_job, procs=frozenset({0, 1}))
+    sim.start_job(pinned_job, mask=mask_from_ids({0, 1}))
     sim.suspend_job(pinned_job)
 
     wide = make_job(job_id=1, procs=4)  # cannot avoid the pinned pair
-    chosen = sched._place(wide)
-    assert chosen == frozenset({0, 1, 2, 3})
+    chosen = sched.preemption._place_mask(wide)
+    assert chosen == mask_from_ids({0, 1, 2, 3})
 
 
 def test_pinned_procs_union_of_suspended_sets():
@@ -65,9 +66,9 @@ def test_pinned_procs_union_of_suspended_sets():
         j = make_job(job_id=i, submit=0.0, run=100.0, procs=2)
         j.mark_submitted(0.0)
         sim._queued[j.job_id] = j
-        sim.start_job(j, procs=frozenset(procs))
+        sim.start_job(j, mask=mask_from_ids(procs))
         sim.suspend_job(j)
-    assert sched._pinned_procs() == {0, 1, 4, 5}
+    assert sched.preemption._pinned_mask() == mask_from_ids({0, 1, 4, 5})
 
 
 def test_explicit_start_placement_via_driver():
@@ -75,8 +76,8 @@ def test_explicit_start_placement_via_driver():
     job = make_job(job_id=9, submit=0.0, run=10.0, procs=2)
     job.mark_submitted(0.0)
     sim._queued[job.job_id] = job
-    got = sim.start_job(job, procs=frozenset({6, 7}))
-    assert got == frozenset({6, 7})
+    got = sim.start_job(job, mask=mask_from_ids({6, 7}))
+    assert got == mask_from_ids({6, 7})
 
 
 def test_explicit_start_wrong_count_rejected():
@@ -87,7 +88,7 @@ def test_explicit_start_wrong_count_rejected():
     job.mark_submitted(0.0)
     sim._queued[job.job_id] = job
     with pytest.raises(SimulationError, match="processors"):
-        sim.start_job(job, procs=frozenset({1, 2, 3}))
+        sim.start_job(job, mask=mask_from_ids({1, 2, 3}))
 
 
 def test_resume_placement_must_match_original():
@@ -97,9 +98,9 @@ def test_resume_placement_must_match_original():
     job = make_job(job_id=9, submit=0.0, run=100.0, procs=2)
     job.mark_submitted(0.0)
     sim._queued[job.job_id] = job
-    sim.start_job(job, procs=frozenset({2, 3}))
+    sim.start_job(job, mask=mask_from_ids({2, 3}))
     sim.suspend_job(job)
     with pytest.raises(SimulationError, match="original"):
-        sim.start_job(job, procs=frozenset({4, 5}))
-    got = sim.start_job(job, procs=frozenset({2, 3}))
-    assert got == frozenset({2, 3})
+        sim.start_job(job, mask=mask_from_ids({4, 5}))
+    got = sim.start_job(job, mask=mask_from_ids({2, 3}))
+    assert got == mask_from_ids({2, 3})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.bitset import mask_from_ids
 from repro.core.priorities import (
     GOLDEN_RATIO,
     PreemptionCriteria,
@@ -23,7 +24,7 @@ def test_suspension_priority_is_xfactor():
 def test_instantaneous_priority_matches_definition():
     j = make_job(run=1000.0)
     j.mark_submitted(0.0)
-    j.mark_started(100.0, frozenset({0}))
+    j.mark_started(100.0, mask_from_ids({0}))
     assert instantaneous_priority(j, 300.0) == pytest.approx((100 + 200) / 200)
 
 
@@ -87,7 +88,7 @@ def test_allows_combines_both_conditions():
     victim = make_job(job_id=2, run=3600.0, procs=6)
     idle.mark_submitted(0.0)
     victim.mark_submitted(0.0)
-    victim.mark_started(0.0, frozenset(range(6)))
+    victim.mark_started(0.0, mask_from_ids(range(6)))
     # victim priority frozen at 1; idle needs xfactor >= 2: wait 60s
     assert not c.allows(idle, victim, now=30.0, reentry=False)
     assert c.allows(idle, victim, now=120.0, reentry=False)
@@ -99,6 +100,6 @@ def test_allows_respects_width_rule():
     victim = make_job(job_id=2, run=3600.0, procs=10)
     idle.mark_submitted(0.0)
     victim.mark_submitted(0.0)
-    victim.mark_started(0.0, frozenset(range(10)))
+    victim.mark_started(0.0, mask_from_ids(range(10)))
     assert not c.allows(idle, victim, now=10_000.0, reentry=False)
     assert c.allows(idle, victim, now=10_000.0, reentry=True)

@@ -191,18 +191,18 @@ def test_determinism_across_runs(raw):
 )
 def test_cluster_random_walk_keeps_invariants(ops):
     c = Cluster(16)
-    held: dict[int, frozenset[int]] = {}
+    held: dict[int, int] = {}
     next_owner = 0
     for is_alloc, count in ops:
         if is_alloc and c.can_allocate(count):
             held[next_owner] = c.allocate(count, owner=next_owner)
             next_owner += 1
         elif not is_alloc and held:
-            owner, procs = next(iter(held.items()))
-            c.release(procs, owner)
+            owner, mask = next(iter(held.items()))
+            c.release(mask, owner)
             del held[owner]
         c.check_invariants()
-        assert c.free_count + sum(len(p) for p in held.values()) == 16
+        assert c.free_count + sum(m.bit_count() for m in held.values()) == 16
 
 
 class _SetModelCluster:
@@ -244,21 +244,32 @@ class _SetModelCluster:
         return True
 
 
+_proc_sets = st.sets(st.integers(min_value=0, max_value=15), min_size=1, max_size=6)
+
 _cluster_ops = st.lists(
     st.one_of(
         st.tuples(st.just("alloc"), st.integers(min_value=1, max_value=10)),
-        st.tuples(
-            st.just("alloc_specific"),
-            st.sets(st.integers(min_value=0, max_value=15), min_size=1, max_size=6),
-        ),
+        st.tuples(st.just("alloc_mask"), _proc_sets),
         st.tuples(st.just("release"), st.integers(min_value=0, max_value=12)),
-        st.tuples(
-            st.just("bad_release"),
-            st.sets(st.integers(min_value=0, max_value=15), min_size=1, max_size=6),
-        ),
+        st.tuples(st.just("release_part"), st.integers(min_value=0, max_value=12)),
+        st.tuples(st.just("bad_release"), _proc_sets),
+        st.tuples(st.just("query"), _proc_sets),
     ),
     max_size=80,
 )
+
+
+def _reference_owners(model: _SetModelCluster, query: set[int]) -> tuple[int, ...]:
+    """Owners holding processors in *query*, walked processor by
+    processor: each owner appears once, at the first processor it holds."""
+    out: list[int] = []
+    for p in range(model.n_procs):
+        if p not in query:
+            continue
+        for owner, procs in sorted(model.owner_procs.items()):
+            if p in procs and owner not in out:
+                out.append(owner)
+    return tuple(out)
 
 
 @settings(max_examples=200, deadline=None)
@@ -266,14 +277,17 @@ _cluster_ops = st.lists(
 def test_cluster_agrees_with_set_model(ops):
     """The bitmask Cluster is operation-for-operation equivalent to the
     set-based reference model: same allocations, same rejections, same
-    observable state after every step."""
+    observable state after every step, and ``owners_in_mask`` in the
+    order of a per-processor walk."""
     import pytest
 
+    from repro.cluster.bitset import mask_from_ids
     from repro.cluster.machine import AllocationError
 
     real = Cluster(16)
     model = _SetModelCluster(16)
     next_owner = 0
+    query: set[int] = set(range(16))
 
     for kind, arg in ops:
         if kind == "alloc":
@@ -282,41 +296,49 @@ def test_cluster_agrees_with_set_model(ops):
                 with pytest.raises(AllocationError):
                     real.allocate(arg, owner=next_owner)
             else:
-                assert real.allocate(arg, owner=next_owner) == expected
+                assert real.allocate(arg, owner=next_owner) == mask_from_ids(expected)
                 next_owner += 1
-        elif kind == "alloc_specific":
+        elif kind == "alloc_mask":
             expected = model.allocate_specific(set(arg), owner=next_owner)
             if expected is None:
                 with pytest.raises(AllocationError):
-                    real.allocate_specific(arg, owner=next_owner)
+                    real.allocate_mask(mask_from_ids(arg), owner=next_owner)
             else:
-                assert real.allocate_specific(arg, owner=next_owner) == expected
+                got = real.allocate_mask(mask_from_ids(arg), owner=next_owner)
+                assert got == mask_from_ids(expected)
                 next_owner += 1
-        elif kind == "release":
-            # release some existing owner's full holding, chosen by index
+        elif kind in ("release", "release_part"):
+            # release some existing owner's holding (all of it, or its
+            # lowest half), chosen by index
             owners = sorted(model.owner_procs)
             if not owners:
                 continue
             owner = owners[arg % len(owners)]
-            procs = set(model.owner_procs[owner])
-            assert model.release(procs, owner)
-            real.release(procs, owner)
-        else:  # bad_release: arbitrary procs under a bogus owner
+            procs = sorted(model.owner_procs[owner])
+            if kind == "release_part":
+                procs = procs[: max(1, len(procs) // 2)]
+            assert model.release(set(procs), owner)
+            real.release(mask_from_ids(procs), owner)
+        elif kind == "bad_release":  # arbitrary procs under a bogus owner
             assert not model.release(set(arg), owner=-1)
             with pytest.raises(AllocationError):
-                real.release(arg, owner=-1)
+                real.release(mask_from_ids(arg), owner=-1)
+        else:  # query: remember a mask to ask owners_in_mask about
+            query = set(arg)
 
         # observable state identical after every operation
         real.check_invariants()
-        assert real.free_set() == frozenset(model.free)
-        assert real.free_mask == sum(1 << p for p in model.free)
+        assert real.free_mask == mask_from_ids(model.free)
+        assert real.free_count == len(model.free)
         for owner, procs in model.owner_procs.items():
-            assert real.owner_mask(owner) == sum(1 << p for p in procs)
+            assert real.owner_mask(owner) == mask_from_ids(procs)
         for p in range(16):
             expected_owner = next(
                 (o for o, ps in model.owner_procs.items() if p in ps), None
             )
             assert real.owner_of(p) == expected_owner
+        for q in (query, set(range(16))):
+            assert real.owners_in_mask(mask_from_ids(q)) == _reference_owners(model, q)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

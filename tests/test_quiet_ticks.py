@@ -251,8 +251,8 @@ class _LoggingSimulation(SchedulingSimulation):
         super().__init__(*args, **kwargs)
         self.transitions: list[tuple[str, float, int]] = []
 
-    def start_job(self, job: Job, procs: Any = None, via: str | None = None) -> Any:
-        got = super().start_job(job, procs, via)
+    def start_job(self, job: Job, mask: int | None = None, via: str | None = None) -> int:
+        got = super().start_job(job, mask, via)
         self.transitions.append(("start", self.now, job.job_id))
         return got
 

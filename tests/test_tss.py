@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.bitset import mask_from_ids
 from repro.core.tss import (
     CategoryLimits,
     TunableSelectiveSuspensionScheduler,
@@ -62,7 +63,7 @@ def test_online_limits_learn_from_finished_jobs():
     limits = CategoryLimits(online=True, margin=1.5)
     j = make_job(job_id=0, submit=0.0, run=100.0, procs=1)
     j.mark_submitted(0.0)
-    j.mark_started(100.0, frozenset({0}))  # waited 100 => slowdown 2
+    j.mark_started(100.0, mask_from_ids({0}))  # waited 100 => slowdown 2
     j.mark_finished(200.0)
     limits.observe(j)
     same_cat = make_job(job_id=1, run=100.0, procs=1)
@@ -73,7 +74,7 @@ def test_online_fallback_to_overall_average():
     limits = CategoryLimits(online=True, margin=1.5)
     j = make_job(job_id=0, submit=0.0, run=100.0, procs=1)
     j.mark_submitted(0.0)
-    j.mark_started(100.0, frozenset({0}))
+    j.mark_started(100.0, mask_from_ids({0}))
     j.mark_finished(200.0)
     limits.observe(j)
     other_cat = make_job(job_id=1, run=30_000.0, procs=64)
@@ -84,7 +85,7 @@ def test_offline_observe_is_noop():
     limits = CategoryLimits(table={("VS", "Seq"): 5.0})
     j = make_job(job_id=0, submit=0.0, run=100.0, procs=1)
     j.mark_submitted(0.0)
-    j.mark_started(0.0, frozenset({0}))
+    j.mark_started(0.0, mask_from_ids({0}))
     j.mark_finished(100.0)
     limits.observe(j)
     assert limits.table == {("VS", "Seq"): 5.0}
@@ -95,7 +96,7 @@ def test_limits_from_result_margin():
     for i in range(4):
         j = make_job(job_id=i, submit=0.0, run=100.0, procs=1)
         j.mark_submitted(0.0)
-        j.mark_started(100.0, frozenset({i}))  # slowdown 2 for all
+        j.mark_started(100.0, mask_from_ids({i}))  # slowdown 2 for all
         j.mark_finished(200.0)
         jobs.append(j)
     from repro.sim.driver import SimulationResult

@@ -9,7 +9,7 @@ process on one machine.  This script turns those measurements into a
 
 ``--write``
     Run the suite and write a schema-versioned baseline
-    (``BENCH_PR13.json`` at the repo root) recording per-bench
+    (``BENCH_PR14.json`` at the repo root) recording per-bench
     mean/stddev/rounds, end-to-end jobs/second, in-run speedup ratios,
     a machine-independent *trace fingerprint* (SHA-256 over the
     schedule signature each bench workload produces), the
@@ -514,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
         "--out",
         type=Path,
         default=None,
-        help="report path (default: BENCH_PR13.json for --write, "
+        help="report path (default: BENCH_PR14.json for --write, "
         "bench_report.json for --check)",
     )
     parser.add_argument(
@@ -526,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     out = args.out or (
-        REPO_ROOT / ("BENCH_PR13.json" if args.write else "bench_report.json")
+        REPO_ROOT / ("BENCH_PR14.json" if args.write else "bench_report.json")
     )
 
     raw = run_bench_suite()
