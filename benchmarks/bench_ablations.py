@@ -23,11 +23,10 @@ import pytest
 
 from benchmarks.conftest import CACHE, POLICY, SEED, WORKERS, run_once
 from repro.core.overhead import DiskSwapOverheadModel
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
-from repro.core.tss import TunableSelectiveSuspensionScheduler, limits_from_result
+from repro.core.tss import limits_from_result
 from repro.experiments.parallel import GridCell, run_grid
 from repro.metrics.aggregate import overall_stats, per_category_stats
-from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.workload.archive import get_preset
 from repro.workload.synthetic import generate_trace
 
@@ -77,8 +76,8 @@ def test_ablation_width_rule(benchmark, workload):
             jobs,
             n_procs,
             {
-                "on": SelectiveSuspensionScheduler(2.0, width_rule=True).config(),
-                "off": SelectiveSuspensionScheduler(2.0, width_rule=False).config(),
+                "on": make_scheduler("ss", suspension_factor=2.0, width_rule=True).config(),
+                "off": make_scheduler("ss", suspension_factor=2.0, width_rule=False).config(),
             },
         )
         return res["on"], res["off"]
@@ -114,7 +113,7 @@ def test_ablation_tss_limit_source(benchmark, workload):
                     key="ns",
                     jobs=jobs,
                     n_procs=n_procs,
-                    scheduler_config=EasyBackfillScheduler().config(),
+                    scheduler_config=make_scheduler("easy").config(),
                 )
             ],
             workers=WORKERS,
@@ -125,10 +124,10 @@ def test_ablation_tss_limit_source(benchmark, workload):
             jobs,
             n_procs,
             {
-                "calibrated": TunableSelectiveSuspensionScheduler(
-                    2.0, limits=limits_from_result(ns)
+                "calibrated": make_scheduler(
+                    "tss", suspension_factor=2.0, limits=limits_from_result(ns)
                 ).config(),
-                "online": TunableSelectiveSuspensionScheduler(2.0).config(),
+                "online": make_scheduler("tss", suspension_factor=2.0).config(),
             },
         )
         return ns, res["calibrated"], res["online"]
@@ -154,8 +153,8 @@ def test_ablation_preemption_interval(benchmark, workload):
             jobs,
             n_procs,
             {
-                f"{interval:g}": SelectiveSuspensionScheduler(
-                    2.0, preemption_interval=interval
+                f"{interval:g}": make_scheduler(
+                    "ss", suspension_factor=2.0, preemption_interval=interval
                 ).config()
                 for interval in intervals
             },
@@ -181,12 +180,12 @@ def test_ablation_overhead_severity(benchmark, workload):
     jobs, n_procs = workload
 
     def run():
-        ss = SelectiveSuspensionScheduler(2.0).config()
+        ss = make_scheduler("ss", suspension_factor=2.0).config()
         res = _grid(
             jobs,
             n_procs,
             {
-                "ns": EasyBackfillScheduler().config(),
+                "ns": make_scheduler("easy").config(),
                 "paper_disk": (
                     ss,
                     {"overhead_model": DiskSwapOverheadModel(mb_per_sec_per_proc=2.0)},
@@ -219,7 +218,7 @@ def test_ablation_migration(benchmark, workload):
     jobs, n_procs = workload
 
     def run():
-        ss = SelectiveSuspensionScheduler(2.0).config()
+        ss = make_scheduler("ss", suspension_factor=2.0).config()
         res = _grid(
             jobs,
             n_procs,
@@ -251,7 +250,6 @@ def test_ablation_gang_vs_selective(benchmark, workload):
     on the same workload -- SS should match gang's responsiveness for
     short jobs at a fraction of the context switches.
     """
-    from repro.schedulers.gang import GangScheduler
 
     jobs, n_procs = workload
 
@@ -260,8 +258,8 @@ def test_ablation_gang_vs_selective(benchmark, workload):
             jobs,
             n_procs,
             {
-                "ss": SelectiveSuspensionScheduler(2.0).config(),
-                "gang": GangScheduler(quantum=600.0).config(),
+                "ss": make_scheduler("ss", suspension_factor=2.0).config(),
+                "gang": make_scheduler("gang", quantum=600.0).config(),
             },
         )
         return res["ss"], res["gang"]
@@ -283,7 +281,6 @@ def test_ablation_gang_vs_selective(benchmark, workload):
 def test_ablation_conservative_substrate(benchmark, workload):
     """Conservative vs EASY as the NS baseline: both show the same
     short-wide pathology that motivates preemption."""
-    from repro.schedulers.conservative import ConservativeBackfillScheduler
 
     jobs, n_procs = workload
 
@@ -292,8 +289,8 @@ def test_ablation_conservative_substrate(benchmark, workload):
             jobs,
             n_procs,
             {
-                "easy": EasyBackfillScheduler().config(),
-                "cons": ConservativeBackfillScheduler().config(),
+                "easy": make_scheduler("easy").config(),
+                "cons": make_scheduler("conservative").config(),
             },
         )
         return res["easy"], res["cons"]

@@ -16,13 +16,9 @@ import pytest
 
 from benchmarks.conftest import SEED, run_once
 from repro.analysis.charts import bar_chart
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.experiments.runner import simulate
 from repro.metrics.aggregate import overall_stats
-from repro.schedulers.easy import EasyBackfillScheduler
-from repro.schedulers.gang import GangScheduler
-from repro.schedulers.relaxed import RelaxedBackfillScheduler
-from repro.schedulers.speculative import SpeculativeBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.workload.archive import get_preset
 from repro.workload.estimates import InaccurateEstimates
 from repro.workload.synthetic import generate_trace
@@ -46,11 +42,11 @@ def test_extension_scheduler_zoo(benchmark, workload):
 
     def run():
         return {
-            "EASY (NS)": simulate(jobs, EasyBackfillScheduler(), n_procs),
-            "RELAXED r=0.5": simulate(jobs, RelaxedBackfillScheduler(0.5), n_procs),
-            "SPEC-BF": simulate(jobs, SpeculativeBackfillScheduler(), n_procs),
-            "GANG 10min": simulate(jobs, GangScheduler(600.0), n_procs),
-            "SS SF=2": simulate(jobs, SelectiveSuspensionScheduler(2.0), n_procs),
+            "EASY (NS)": simulate(jobs, make_scheduler("easy"), n_procs),
+            "RELAXED r=0.5": simulate(jobs, make_scheduler("relaxed", relaxation=0.5), n_procs),
+            "SPEC-BF": simulate(jobs, make_scheduler("speculative"), n_procs),
+            "GANG 10min": simulate(jobs, make_scheduler("gang", quantum=600.0), n_procs),
+            "SS SF=2": simulate(jobs, make_scheduler("ss", suspension_factor=2.0), n_procs),
         }
 
     results = run_once(benchmark, run)
@@ -89,7 +85,7 @@ def test_extension_relaxation_sweep(benchmark, workload):
 
     def run():
         return {
-            r: simulate(jobs, RelaxedBackfillScheduler(r), n_procs)
+            r: simulate(jobs, make_scheduler("relaxed", relaxation=r), n_procs)
             for r in (0.0, 0.25, 0.5, 1.0)
         }
 
@@ -102,7 +98,7 @@ def test_extension_relaxation_sweep(benchmark, workload):
             f"steady util={res.steady_utilization:.3f}"
         )
     # r=0 must equal EASY exactly
-    easy = simulate(jobs, EasyBackfillScheduler(), n_procs)
+    easy = simulate(jobs, make_scheduler("easy"), n_procs)
     assert overall_stats(results[0.0].jobs).slowdown.mean == pytest.approx(
         overall_stats(easy.jobs).slowdown.mean
     )

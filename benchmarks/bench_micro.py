@@ -31,12 +31,11 @@ import pytest
 
 from repro.cluster.bitset import iter_bits, mask_from_ids
 from repro.cluster.machine import AllocationError, Cluster
-from repro.core.immediate_service import ImmediateServiceScheduler
 from repro.core.priorities import PreemptionCriteria, suspension_priority
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.schedulers.base import Scheduler
-from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.profiles import AvailabilityProfile, ProfileError
+from repro.schedulers.policy import PolicyKernel
+from repro.schedulers.registry import make_scheduler, scheme_spec
 from repro.sim.driver import SchedulingSimulation
 from repro.sim.events import EventKind, EventQueue
 from repro.workload.job import Job, fresh_copies
@@ -433,21 +432,13 @@ class LegacySweepScheduler(Scheduler):
         del self._suspended_ids[job.job_id]
 
 
-class UnelidedImmediateService(ImmediateServiceScheduler):
-    """IS with every timer tick dispatched (no quiet-tick elision).
-
-    Its quiet bound is always *now*, so the driver runs the full 60-s
-    chain; ``test_is_elision_identical`` checks that skipping the quiet
-    ticks changes nothing observable.
+class UnelidedKernel(PolicyKernel):
+    """A table scheme with every timer tick dispatched (no quiet-tick
+    elision): its quiet bound is always *now*, so the driver runs the
+    full 60-s chain.  The reference of ``test_is_elision_identical``
+    and ``test_ss_busy_skip_identical``, which check that skipping the
+    quiet ticks changes nothing observable.
     """
-
-    def quiet_until(self, now: float) -> float:
-        return now
-
-
-class UnskippedSelectiveSuspension(SelectiveSuspensionScheduler):
-    """SS with every timer tick dispatched (no quiet-tick elision);
-    the reference of ``test_ss_busy_skip_identical``."""
 
     def quiet_until(self, now: float) -> float:
         return now
@@ -550,7 +541,7 @@ def test_cluster_allocate_release_legacy(benchmark):
 # ----------------------------------------------------------------------
 def test_simulation_rate_easy(benchmark):
     def run():
-        return run_sim(fresh_copies(JOBS_SDSC), EasyBackfillScheduler(), n_procs=128)
+        return run_sim(fresh_copies(JOBS_SDSC), make_scheduler("easy"), n_procs=128)
 
     result = benchmark(run)
     assert len(result.jobs) == len(JOBS_SDSC)
@@ -560,7 +551,7 @@ def test_simulation_rate_ss(benchmark):
     def run():
         return run_sim(
             fresh_copies(JOBS_SDSC),
-            SelectiveSuspensionScheduler(suspension_factor=2.0),
+            make_scheduler("ss", suspension_factor=2.0),
             n_procs=128,
         )
 
@@ -582,7 +573,7 @@ def test_simulation_rate_ss_null_recorder(benchmark):
     def run():
         driver = SchedulingSimulation(
             cluster=Cluster(128),
-            scheduler=SelectiveSuspensionScheduler(suspension_factor=2.0),
+            scheduler=make_scheduler("ss", suspension_factor=2.0),
             recorder=NULL_RECORDER,
         )
         return driver.run(fresh_copies(JOBS_SDSC))
@@ -603,7 +594,7 @@ def test_simulation_rate_ss_load2(benchmark):
     def run():
         return run_sim(
             fresh_copies(JOBS_LOAD2),
-            SelectiveSuspensionScheduler(suspension_factor=2.0),
+            make_scheduler("ss", suspension_factor=2.0),
             n_procs=128,
         )
 
@@ -620,7 +611,7 @@ def test_simulation_rate_is(benchmark):
     """
 
     def run():
-        return run_sim(fresh_copies(JOBS_SDSC), ImmediateServiceScheduler(), n_procs=128)
+        return run_sim(fresh_copies(JOBS_SDSC), make_scheduler("is"), n_procs=128)
 
     result = benchmark(run)
     assert len(result.jobs) == len(JOBS_SDSC)
@@ -652,7 +643,7 @@ def test_simulation_rate_ss_congested(benchmark):
     def run():
         return run_sim(
             fresh_copies(JOBS_CONGESTED),
-            SelectiveSuspensionScheduler(suspension_factor=2.0),
+            make_scheduler("ss", suspension_factor=2.0),
             n_procs=128,
         )
 
@@ -689,7 +680,7 @@ def test_kernel_equivalence_identical():
     for jobs in (JOBS_SDSC, JOBS_CONGESTED):
         fast = run_sim(
             fresh_copies(jobs),
-            SelectiveSuspensionScheduler(suspension_factor=2.0),
+            make_scheduler("ss", suspension_factor=2.0),
             n_procs=128,
         )
         slow = run_sim_legacy(
@@ -710,7 +701,7 @@ def test_sweep_priority_snapshot_identical():
     """
     fast = run_sim(
         fresh_copies(JOBS_SDSC),
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=128,
     )
     slow = run_sim(
@@ -730,8 +721,8 @@ def test_is_elision_identical():
     dispatches every tick: identical per-job outcomes, suspension
     total, makespan and logical event count.
     """
-    fast = run_sim(fresh_copies(JOBS_SDSC), ImmediateServiceScheduler(), n_procs=128)
-    full = run_sim(fresh_copies(JOBS_SDSC), UnelidedImmediateService(), n_procs=128)
+    fast = run_sim(fresh_copies(JOBS_SDSC), make_scheduler("is"), n_procs=128)
+    full = run_sim(fresh_copies(JOBS_SDSC), UnelidedKernel(scheme_spec("is")), n_procs=128)
     assert _schedule_signature(fast) == _schedule_signature(full)
     assert fast.total_suspensions == full.total_suspensions > 0
     assert fast.makespan == full.makespan
@@ -748,12 +739,12 @@ def test_ss_busy_skip_identical():
     for jobs in (JOBS_SDSC, JOBS_CONGESTED, JOBS_LOAD2):
         fast = run_sim(
             fresh_copies(jobs),
-            SelectiveSuspensionScheduler(suspension_factor=2.0),
+            make_scheduler("ss", suspension_factor=2.0),
             n_procs=128,
         )
         full = run_sim(
             fresh_copies(jobs),
-            UnskippedSelectiveSuspension(suspension_factor=2.0),
+            UnelidedKernel(scheme_spec("ss", suspension_factor=2.0)),
             n_procs=128,
         )
         assert _schedule_signature(fast) == _schedule_signature(full)

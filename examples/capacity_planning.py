@@ -11,11 +11,10 @@ short-job experience for NS vs TSS, and locates the knee.
 Run:  python examples/capacity_planning.py
 """
 
-from repro import generate_trace, simulate
+from repro import generate_trace, make_scheduler, simulate
 from repro.analysis.tables import series_table
-from repro.core import TunableSelectiveSuspensionScheduler, limits_from_result
+from repro.core import limits_from_result
 from repro.metrics.aggregate import per_category_stats
-from repro.schedulers import EasyBackfillScheduler
 from repro.workload.archive import get_preset
 from repro.workload.categories import classify_four_way
 from repro.workload.load import scale_load
@@ -36,12 +35,10 @@ def main() -> None:
     ns_util, tss_util, ns_short, tss_short = [], [], [], []
     for load in LOADS:
         jobs = scale_load(base, load)
-        ns = simulate(jobs, EasyBackfillScheduler(), preset.n_procs)
+        ns = simulate(jobs, make_scheduler("easy"), preset.n_procs)
         tss = simulate(
             jobs,
-            TunableSelectiveSuspensionScheduler(
-                suspension_factor=2.0, limits=limits_from_result(ns)
-            ),
+            make_scheduler("tss", suspension_factor=2.0, limits=limits_from_result(ns)),
             preset.n_procs,
         )
         ns_util.append(100 * ns.steady_utilization)

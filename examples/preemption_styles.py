@@ -19,21 +19,10 @@ Run:  python examples/preemption_styles.py [--overhead]
 
 import sys
 
-from repro import generate_trace, simulate
+from repro import generate_trace, make_scheduler, simulate
 from repro.analysis.tables import render_table
-from repro.core import (
-    DiskSwapOverheadModel,
-    ImmediateServiceScheduler,
-    SelectiveSuspensionScheduler,
-    TunableSelectiveSuspensionScheduler,
-)
+from repro.core import DiskSwapOverheadModel
 from repro.metrics.aggregate import overall_stats, per_category_stats
-from repro.schedulers import (
-    ConservativeBackfillScheduler,
-    EasyBackfillScheduler,
-    FCFSScheduler,
-    GangScheduler,
-)
 from repro.workload.archive import get_preset
 
 
@@ -49,13 +38,13 @@ def main() -> None:
     jobs = generate_trace("SDSC", n_jobs=800, seed=21)
 
     zoo = [
-        ("FCFS", FCFSScheduler()),
-        ("Conservative BF", ConservativeBackfillScheduler()),
-        ("EASY BF (NS)", EasyBackfillScheduler()),
-        ("Gang (10 min)", GangScheduler(quantum=600.0)),
-        ("Immediate Service", ImmediateServiceScheduler()),
-        ("SS (SF=2)", SelectiveSuspensionScheduler(suspension_factor=2.0)),
-        ("TSS (SF=2)", TunableSelectiveSuspensionScheduler(suspension_factor=2.0)),
+        ("FCFS", make_scheduler("fcfs")),
+        ("Conservative BF", make_scheduler("conservative")),
+        ("EASY BF (NS)", make_scheduler("easy")),
+        ("Gang (10 min)", make_scheduler("gang", quantum=600.0)),
+        ("Immediate Service", make_scheduler("is")),
+        ("SS (SF=2)", make_scheduler("ss", suspension_factor=2.0)),
+        ("TSS (SF=2)", make_scheduler("tss", suspension_factor=2.0)),
     ]
 
     rows = []

@@ -18,12 +18,10 @@ Run:  python examples/quickstart.py [--workers 2] [--cache-dir cache]
 
 import argparse
 
-from repro import generate_trace, overall_stats, per_category_stats
+from repro import generate_trace, make_scheduler, overall_stats, per_category_stats
 from repro.analysis.tables import category_grid_table
-from repro.core import SelectiveSuspensionScheduler
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import GridCell, run_grid
-from repro.schedulers import EasyBackfillScheduler
 from repro.workload.archive import get_preset
 
 
@@ -43,9 +41,9 @@ def main() -> None:
 
     cells = [
         GridCell(key="ns", jobs=jobs, n_procs=preset.n_procs,
-                 scheduler_config=EasyBackfillScheduler().config()),
+                 scheduler_config=make_scheduler("easy").config()),
         GridCell(key="ss", jobs=jobs, n_procs=preset.n_procs,
-                 scheduler_config=SelectiveSuspensionScheduler(suspension_factor=2.0).config(),
+                 scheduler_config=make_scheduler("ss", suspension_factor=2.0).config(),
                  trace_path=args.trace_out),
     ]
     cache = ResultCache(args.cache_dir) if args.cache_dir else None

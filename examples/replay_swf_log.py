@@ -22,10 +22,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.core import ImmediateServiceScheduler, SelectiveSuspensionScheduler
+from repro import make_scheduler
 from repro.experiments.parallel import replay_sharded
 from repro.metrics.aggregate import overall_stats
-from repro.schedulers import EasyBackfillScheduler
 from repro.workload.pipeline import WorkloadPipeline, open_workload
 from repro.workload.swf import jobs_to_swf_records, read_swf_header, write_swf
 from repro.workload.synthetic import generate_trace
@@ -63,9 +62,9 @@ def main() -> None:
 
     pipeline = WorkloadPipeline()  # identity; add stages to rescale/re-estimate
     schemes = {
-        "No Suspension": EasyBackfillScheduler(),
-        "SS (SF=2)": SelectiveSuspensionScheduler(suspension_factor=2.0),
-        "IS": ImmediateServiceScheduler(),
+        "No Suspension": make_scheduler("easy"),
+        "SS (SF=2)": make_scheduler("ss", suspension_factor=2.0),
+        "IS": make_scheduler("is"),
     }
 
     print(f"replay of {path.name}  ({window_hours:g} h shards, {n_procs} procs)")

@@ -24,13 +24,11 @@ Run:  python examples/tuning_suspension_factor.py [--workers 0]
 
 import argparse
 
-from repro import generate_trace, overall_stats, per_category_stats
+from repro import generate_trace, make_scheduler, overall_stats, per_category_stats
 from repro.analysis.tables import render_table
-from repro.core import SelectiveSuspensionScheduler
 from repro.core.theory import threshold_for_max_suspensions
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import GridCell, run_grid
-from repro.schedulers import EasyBackfillScheduler
 from repro.workload.archive import get_preset
 
 SFS = (1.1, 1.5, 2.0, 3.0, 5.0)
@@ -58,7 +56,7 @@ def main() -> None:
 
     cells = [
         GridCell(key="ns", jobs=jobs, n_procs=preset.n_procs,
-                 scheduler_config=EasyBackfillScheduler().config()),
+                 scheduler_config=make_scheduler("easy").config()),
     ]
     for sf in SFS:
         cells.append(
@@ -66,7 +64,7 @@ def main() -> None:
                 key=f"sf={sf:g}",
                 jobs=jobs,
                 n_procs=preset.n_procs,
-                scheduler_config=SelectiveSuspensionScheduler(suspension_factor=sf).config(),
+                scheduler_config=make_scheduler("ss", suspension_factor=sf).config(),
                 trace_path=args.trace_out if sf == TRACED_SF else None,
             )
         )

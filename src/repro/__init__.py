@@ -16,30 +16,19 @@ suspension-overhead model, and the paper's full metric suite.
 Quickstart
 ----------
 
->>> from repro import simulate, generate_trace
->>> from repro.core import SelectiveSuspensionScheduler
+>>> from repro import make_scheduler, simulate, generate_trace
 >>> jobs = generate_trace("CTC", n_jobs=500, seed=1)
->>> result = simulate(jobs, SelectiveSuspensionScheduler(suspension_factor=2.0),
+>>> result = simulate(jobs, make_scheduler("ss", suspension_factor=2.0),
 ...                   n_procs=430)
 >>> round(result.utilization, 2) > 0
 True
 """
 
 from repro.cluster import Cluster
-from repro.core import (
-    DiskSwapOverheadModel,
-    ImmediateServiceScheduler,
-    SelectiveSuspensionScheduler,
-    TunableSelectiveSuspensionScheduler,
-    limits_from_result,
-)
+from repro.core import DiskSwapOverheadModel, limits_from_result
 from repro.experiments.runner import simulate
 from repro.metrics import bounded_slowdown, overall_stats, per_category_stats
-from repro.schedulers import (
-    ConservativeBackfillScheduler,
-    EasyBackfillScheduler,
-    FCFSScheduler,
-)
+from repro.schedulers import make_scheduler
 from repro.sim import SchedulingSimulation, SimulationResult
 from repro.workload import Job, generate_trace, read_swf, scale_load
 
@@ -47,19 +36,14 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Cluster",
-    "ConservativeBackfillScheduler",
     "DiskSwapOverheadModel",
-    "EasyBackfillScheduler",
-    "FCFSScheduler",
-    "ImmediateServiceScheduler",
     "Job",
     "SchedulingSimulation",
-    "SelectiveSuspensionScheduler",
     "SimulationResult",
-    "TunableSelectiveSuspensionScheduler",
     "bounded_slowdown",
     "generate_trace",
     "limits_from_result",
+    "make_scheduler",
     "overall_stats",
     "per_category_stats",
     "read_swf",

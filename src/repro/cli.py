@@ -51,19 +51,14 @@ import sys
 from typing import Callable
 
 from repro.analysis.report import experiment_report, scheme_comparison_report
-from repro.core.immediate_service import ImmediateServiceScheduler
 from repro.core.overhead import DiskSwapOverheadModel
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
-from repro.core.tss import TunableSelectiveSuspensionScheduler
 from repro.experiments import paper
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import GridPolicy, compare_schemes_parallel
 from repro.experiments.runner import simulate, standard_schemes
 from repro.obs import GridCounters, format_grid_counters
 from repro.schedulers.base import Scheduler
-from repro.schedulers.conservative import ConservativeBackfillScheduler
-from repro.schedulers.easy import EasyBackfillScheduler
-from repro.schedulers.fcfs import FCFSScheduler
+from repro.schedulers.registry import make_scheduler, scheme_aliases, scheme_params
 from repro.workload.archive import get_preset
 from repro.workload.estimates import AccurateEstimates, InaccurateEstimates
 from repro.workload.job import Job
@@ -87,40 +82,25 @@ EXPERIMENTS: dict[str, tuple[Callable[..., paper.ExperimentOutput], bool]] = {
 
 
 def _build_scheduler(args: argparse.Namespace) -> Scheduler:
-    kind = args.scheduler.lower()
-    if kind == "fcfs":
-        return FCFSScheduler()
-    if kind in ("easy", "ns"):
-        return EasyBackfillScheduler()
-    if kind in ("conservative", "cons"):
-        return ConservativeBackfillScheduler()
-    if kind == "gang":
-        from repro.schedulers.gang import GangScheduler
+    takes_sf = "suspension_factor" in scheme_params(args.scheduler)
+    params = {"suspension_factor": args.sf} if takes_sf else {}
+    return make_scheduler(args.scheduler, **params)
 
-        return GangScheduler()
-    if kind == "relaxed":
-        from repro.schedulers.relaxed import RelaxedBackfillScheduler
 
-        return RelaxedBackfillScheduler()
-    if kind in ("spec", "speculative"):
-        from repro.schedulers.speculative import SpeculativeBackfillScheduler
-
-        return SpeculativeBackfillScheduler()
-    if kind == "ss":
-        return SelectiveSuspensionScheduler(suspension_factor=args.sf)
-    if kind == "tss":
-        return TunableSelectiveSuspensionScheduler(suspension_factor=args.sf)
-    if kind == "ss-easy":
-        from repro.schedulers.hybrids import SuspensionWithHeadGuarantee
-
-        return SuspensionWithHeadGuarantee(suspension_factor=args.sf)
-    if kind in ("tss-cons", "tss-conservative"):
-        from repro.schedulers.hybrids import TunableSuspensionWithGuarantees
-
-        return TunableSuspensionWithGuarantees(suspension_factor=args.sf)
-    if kind == "is":
-        return ImmediateServiceScheduler()
-    raise SystemExit(f"unknown scheduler {args.scheduler!r}")
+def _add_scheduler_args(p: argparse.ArgumentParser, default: str) -> None:
+    """``--scheduler`` (any scheme id or alias, case-insensitive) and ``--sf``."""
+    table = scheme_aliases()
+    p.add_argument(
+        "--scheduler",
+        type=str.lower,
+        default=default,
+        choices=[name for sid, aliases in table.items() for name in (sid, *aliases)],
+        metavar="SCHEME",
+        help=" | ".join("/".join((sid, *aliases)) for sid, aliases in table.items()),
+    )
+    p.add_argument(
+        "--sf", type=float, default=2.0, help="suspension factor (schemes that take one)"
+    )
 
 
 def _load_jobs(args: argparse.Namespace) -> tuple[list[Job], int]:
@@ -240,12 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one scheduler over one trace")
     _add_trace_args(run)
-    run.add_argument(
-        "--scheduler",
-        default="ss",
-        help="fcfs | easy/ns | conservative | relaxed | speculative | gang | ss | tss | is | ss-easy | tss-conservative",
-    )
-    run.add_argument("--sf", type=float, default=2.0, help="suspension factor")
+    _add_scheduler_args(run, default="ss")
     run.add_argument(
         "--metric", choices=("slowdown", "turnaround", "wait"), default="slowdown"
     )
@@ -294,12 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rec = trc_sub.add_parser("record", help="run one traced simulation to JSONL")
     _add_trace_args(rec)
-    rec.add_argument(
-        "--scheduler",
-        default="ss",
-        help="fcfs | easy/ns | conservative | relaxed | speculative | gang | ss | tss | is | ss-easy | tss-conservative",
-    )
-    rec.add_argument("--sf", type=float, default=2.0, help="suspension factor")
+    _add_scheduler_args(rec, default="ss")
     rec.add_argument("--out", required=True, metavar="FILE", help="JSONL output path")
 
     summ = trc_sub.add_parser(
@@ -402,12 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rpl.add_argument("swf_file", help="path to the SWF log")
     _add_workload_pipeline_args(rpl)
-    rpl.add_argument(
-        "--scheduler",
-        default="easy",
-        help="fcfs | easy/ns | conservative | relaxed | speculative | gang | ss | tss | is | ss-easy | tss-conservative",
-    )
-    rpl.add_argument("--sf", type=float, default=2.0, help="suspension factor")
+    _add_scheduler_args(rpl, default="easy")
     rpl.add_argument(
         "--window",
         type=float,

@@ -1,20 +1,22 @@
-"""Tunable Selective Suspension (TSS) -- section IV-E.
+"""Per-category preemption limits for Tunable Selective Suspension (TSS).
 
 SS fixes the *average* slowdowns but can still let an unlucky long job
-be suspended repeatedly, blowing up the worst case.  TSS bounds that
-variance: each job carries a preemption *limit*, and once its priority
-(xfactor) exceeds the limit the job can no longer be suspended.  The
-paper sets the limit to ``1.5 x (average slowdown of the job's
-category)``, so a job that has already waited past its category's norm
-is protected from further disruption.
+be suspended repeatedly, blowing up the worst case.  TSS (section IV-E)
+bounds that variance: each job carries a preemption *limit*, and once
+its priority (xfactor) exceeds the limit the job can no longer be
+suspended.  The paper sets the limit to ``1.5 x (average slowdown of
+the job's category)``, so a job that has already waited past its
+category's norm is protected from further disruption.  The scheme
+itself is the ``tss`` entry of :mod:`repro.schedulers.registry`; this
+module holds its limit tables.
 
 Where does "average slowdown of the category" come from?  The paper
 does not say.  We support both defensible readings:
 
-* **calibrated** (default): limits computed from a prior NS baseline run
-  over the same trace (:func:`limits_from_result`) -- deterministic and
-  closest to "the known behaviour of this workload";
-* **online**: limits track the running average slowdown of jobs finished
+* **calibrated** (the section V experiments): limits computed from a
+  prior NS baseline run over the same trace (:func:`limits_from_result`)
+  -- deterministic and closest to "the known behaviour of this workload";
+* **online** (the scheme's default): limits track the running average slowdown of jobs finished
   *so far in this run*, per category (:class:`CategoryLimits` with no
   table, ``online=True``); categories with no completions yet fall back
   to the overall running average, then to "no protection".
@@ -27,17 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.priorities import PreemptionCriteria
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.metrics.slowdown import bounded_slowdown
-from repro.schedulers.policy import (
-    GreedyBackfill,
-    NoReservations,
-    PolicyKernel,
-    SchedulerSpec,
-    SuspensionPriorityOrder,
-    SweepPreemption,
-)
 from repro.sim.driver import SimulationResult
 from repro.workload.categories import SixteenWayCategory, classify_sixteen_way
 from repro.workload.job import Job
@@ -142,51 +134,3 @@ def limits_from_result(
         counts[cat] = counts.get(cat, 0) + 1
     table = {cat: margin * sums[cat] / counts[cat] for cat in sums}
     return CategoryLimits(table=table, margin=margin)
-
-
-class TunableSelectiveSuspensionScheduler(SelectiveSuspensionScheduler):
-    """TSS: SS plus per-category preemption limits (section IV-E).
-
-    The same composition as SS, with the sweep engine's ``limits``
-    parameter carrying the category table -- what used to be the
-    ``victim_preemptable`` subclass override.  :class:`CategoryLimits`
-    satisfies the :class:`repro.schedulers.policy.PreemptionLimits`
-    protocol structurally.
-    """
-
-    scheme_id = "tss"
-
-    def __init__(
-        self,
-        suspension_factor: float = 2.0,
-        limits: CategoryLimits | None = None,
-        preemption_interval: float = 60.0,
-        width_rule: bool = True,
-    ) -> None:
-        limits = limits if limits is not None else CategoryLimits(online=True)
-        mode = "online" if limits.online else "calibrated"
-        engine = SweepPreemption(
-            PreemptionCriteria(
-                suspension_factor=suspension_factor, width_rule=width_rule
-            ),
-            preemption_interval=preemption_interval,
-            limits=limits,
-        )
-        self._engine = engine
-        PolicyKernel.__init__(
-            self,
-            SchedulerSpec(
-                scheme_id="tss",
-                display_name=f"TSS(SF={suspension_factor:g},{mode})",
-                queue=SuspensionPriorityOrder(),
-                reservation=NoReservations(),
-                backfill=GreedyBackfill(),
-                preemption=engine,
-            ),
-        )
-
-    @property
-    def limits(self) -> CategoryLimits:
-        limits = self._engine.limits
-        assert isinstance(limits, CategoryLimits)
-        return limits

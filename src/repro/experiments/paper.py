@@ -42,7 +42,7 @@ from repro.metrics.aggregate import (
     overall_stats,
     per_category_stats,
 )
-from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.sim.driver import SimulationResult
 from repro.workload.archive import get_preset
 from repro.workload.categories import classify_four_way
@@ -146,7 +146,7 @@ def ns_baseline_slowdowns(
     """
     preset = get_preset(trace)
     jobs = _trace(trace, n_jobs, seed)
-    result = simulate(jobs, EasyBackfillScheduler(), preset.n_procs)
+    result = simulate(jobs, make_scheduler("easy"), preset.n_procs)
     stats = per_category_stats(result.jobs)
     grid = {c: s.slowdown.mean for c, s in stats.items()}
     overall = overall_stats(result.jobs).slowdown.mean
@@ -663,7 +663,7 @@ def load_variation(
     try:
         # Phase 1: the NS baseline for each load (calibrates the tuned spec).
         baseline_cells = [
-            _cell(f"NS@{load:g}", load, EasyBackfillScheduler().config())
+            _cell(f"NS@{load:g}", load, make_scheduler("easy").config())
             for load in loads
         ]
         baselines = run_grid(

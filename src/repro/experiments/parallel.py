@@ -58,8 +58,7 @@ from repro.experiments.shm import (
     resolve_jobs,
 )
 from repro.obs.counters import GridCounters
-from repro.schedulers.easy import EasyBackfillScheduler
-from repro.schedulers.registry import scheduler_from_config
+from repro.schedulers.registry import check_config, make_scheduler, scheduler_from_config
 from repro.sim.driver import SimulationResult, SuspensionOverheadModel
 from repro.workload.job import Job
 
@@ -115,6 +114,10 @@ class GridCell:
             raise ValueError(f"cell {self.key!r}: n_procs must be >= 1")
         if not self.scheduler_config:
             raise ValueError(f"cell {self.key!r}: scheduler_config is required")
+        try:
+            check_config(self.scheduler_config)
+        except ValueError as exc:
+            raise ValueError(f"cell {self.key!r}: {exc}") from exc
 
     def workload_source(self) -> object:
         """The object that *is* this cell's workload (for identity memos)."""
@@ -854,7 +857,7 @@ def compare_schemes_parallel(
             key=BASELINE_KEY,
             jobs=jobs,
             n_procs=n_procs,
-            scheduler_config=EasyBackfillScheduler().config(),
+            scheduler_config=make_scheduler("easy").config(),
             overhead_model=overhead_model,
         )
         baseline = run_grid(

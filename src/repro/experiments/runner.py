@@ -9,18 +9,14 @@ trace, reusing a calibration run where TSS needs one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.machine import Cluster
-from repro.core.immediate_service import ImmediateServiceScheduler
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
-from repro.core.tss import (
-    TunableSelectiveSuspensionScheduler,
-    limits_from_result,
-)
+from repro.core.tss import limits_from_result
 from repro.schedulers.base import Scheduler
-from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.sim.driver import (
     SchedulingSimulation,
     SimulationResult,
@@ -114,18 +110,18 @@ class SchemeSpec:
     )
 
 
+def _scheme(label: str, name: str, **params: object) -> SchemeSpec:
+    return SchemeSpec(label=label, factory=functools.partial(make_scheduler, name, **params))
+
+
+def _baselines() -> list[SchemeSpec]:
+    return [_scheme("No Suspension", "easy"), _scheme("IS", "is")]
+
+
 def standard_schemes(suspension_factors: tuple[float, ...] = (1.5, 2.0, 5.0)) -> list[SchemeSpec]:
     """The paper's section IV comparison set: SS at each SF, NS, IS."""
-    specs = [
-        SchemeSpec(
-            label=f"SF = {sf:g}",
-            factory=(lambda sf=sf: SelectiveSuspensionScheduler(suspension_factor=sf)),
-        )
-        for sf in suspension_factors
-    ]
-    specs.append(SchemeSpec(label="No Suspension", factory=EasyBackfillScheduler))
-    specs.append(SchemeSpec(label="IS", factory=ImmediateServiceScheduler))
-    return specs
+    specs = [_scheme(f"SF = {sf:g}", "ss", suspension_factor=sf) for sf in suspension_factors]
+    return specs + _baselines()
 
 
 def tuned_schemes(
@@ -135,19 +131,17 @@ def tuned_schemes(
     specs = [
         SchemeSpec(
             label=f"SF = {sf:g} Tuned",
-            factory=(lambda sf=sf: TunableSelectiveSuspensionScheduler(suspension_factor=sf)),
+            factory=functools.partial(make_scheduler, "tss", suspension_factor=sf),
             needs_baseline=True,
             factory_with_baseline=(
-                lambda baseline, sf=sf: TunableSelectiveSuspensionScheduler(
-                    suspension_factor=sf, limits=limits_from_result(baseline)
+                lambda baseline, sf=sf: make_scheduler(
+                    "tss", suspension_factor=sf, limits=limits_from_result(baseline)
                 )
             ),
         )
         for sf in suspension_factors
     ]
-    specs.append(SchemeSpec(label="No Suspension", factory=EasyBackfillScheduler))
-    specs.append(SchemeSpec(label="IS", factory=ImmediateServiceScheduler))
-    return specs
+    return specs + _baselines()
 
 
 def hybrid_schemes(suspension_factor: float = 2.0) -> list[SchemeSpec]:
@@ -158,26 +152,12 @@ def hybrid_schemes(suspension_factor: float = 2.0) -> list[SchemeSpec]:
     layer costs and what the preemption layer buys (see DESIGN.md
     section 12).
     """
-    from repro.schedulers.hybrids import (
-        SuspensionWithHeadGuarantee,
-        TunableSuspensionWithGuarantees,
-    )
-
     sf = suspension_factor
     return [
-        SchemeSpec(
-            label=f"SS (SF = {sf:g})",
-            factory=(lambda: SelectiveSuspensionScheduler(suspension_factor=sf)),
-        ),
-        SchemeSpec(
-            label=f"SS+EASY (SF = {sf:g})",
-            factory=(lambda: SuspensionWithHeadGuarantee(suspension_factor=sf)),
-        ),
-        SchemeSpec(
-            label=f"TSS+CONS (SF = {sf:g})",
-            factory=(lambda: TunableSuspensionWithGuarantees(suspension_factor=sf)),
-        ),
-        SchemeSpec(label="No Suspension", factory=EasyBackfillScheduler),
+        _scheme(f"SS (SF = {sf:g})", "ss", suspension_factor=sf),
+        _scheme(f"SS+EASY (SF = {sf:g})", "ss-easy", suspension_factor=sf),
+        _scheme(f"TSS+CONS (SF = {sf:g})", "tss-conservative", suspension_factor=sf),
+        _scheme("No Suspension", "easy"),
     ]
 
 
@@ -198,7 +178,7 @@ def compare_schemes(
     """
     baseline: SimulationResult | None = None
     if any(s.needs_baseline for s in schemes):
-        baseline = simulate(jobs, EasyBackfillScheduler(), n_procs, overhead_model)
+        baseline = simulate(jobs, make_scheduler("easy"), n_procs, overhead_model)
     out: dict[str, SimulationResult] = {}
     for spec in schemes:
         if spec.needs_baseline:

@@ -3,8 +3,8 @@
 The determinism guarantees this repository sells -- byte-identical
 traces across processes, content-addressed result caching, replayable
 decision records -- are *structural* properties of the code, and the
-hash-order bug fixed in ``SelectiveSuspensionScheduler._try_resume``
-(PR 2) showed how silently they rot: one unsorted iteration over a
+hash-order bug fixed in the SS sweep's ``_try_resume`` showed how
+silently they rot: one unsorted iteration over a
 set-derived collection inside a decision path and every cross-process
 reproduction claim is void.  This package enforces those invariants
 statically, before a simulation ever runs.

@@ -1,40 +1,26 @@
-"""Non-preemptive scheduling substrate.
-
-The paper's preemptive schemes are built *on top of* classic backfilling
-scheduling; this subpackage provides that substrate:
+"""Scheduling substrate and the scheme table.
 
 * :mod:`repro.schedulers.base` -- the scheduler interface the simulation
   driver drives.
-* :mod:`repro.schedulers.fcfs` -- first-come-first-served (section II's
-  strawman).
-* :mod:`repro.schedulers.easy` -- aggressive/EASY backfilling, the
-  paper's non-preemptive **NS** baseline (section II-A-2).
-* :mod:`repro.schedulers.conservative` -- conservative backfilling with
-  per-job reservations and schedule compression (section II-A-1).
+* :mod:`repro.schedulers.policy` -- the policy kernel: queue order,
+  reservations, backfill and preemption as composable axes under one
+  dispatch loop.
+* :mod:`repro.schedulers.registry` -- the scheme table: one entry per
+  scheme (FCFS, EASY/NS, conservative, relaxed and speculative
+  backfilling, SS, TSS, IS, the hybrids, gang), its parameters and
+  defaults; :func:`make_scheduler` builds any of them.
 * :mod:`repro.schedulers.profiles` -- the processor-availability
-  timeline both backfilling variants plan against.
-
-The preemptive schemes (SS, TSS, IS) live in :mod:`repro.core` because
-they are the paper's contribution, but they implement the same
-:class:`~repro.schedulers.base.Scheduler` interface.
+  timeline the backfilling variants plan against.
+* :mod:`repro.schedulers.gang` -- gang scheduling, the one scheme not
+  composed on the policy kernel.
 """
 
 from repro.schedulers.base import Scheduler
-from repro.schedulers.fcfs import FCFSScheduler
-from repro.schedulers.easy import EasyBackfillScheduler
-from repro.schedulers.conservative import ConservativeBackfillScheduler
-from repro.schedulers.gang import GangScheduler
 from repro.schedulers.profiles import AvailabilityProfile
-from repro.schedulers.relaxed import RelaxedBackfillScheduler
-from repro.schedulers.speculative import SpeculativeBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 
 __all__ = [
     "AvailabilityProfile",
-    "ConservativeBackfillScheduler",
-    "EasyBackfillScheduler",
-    "FCFSScheduler",
-    "GangScheduler",
-    "RelaxedBackfillScheduler",
     "Scheduler",
-    "SpeculativeBackfillScheduler",
+    "make_scheduler",
 ]

@@ -18,24 +18,20 @@ them under one dispatch loop:
   or greedy free-processor starts inside the sweep).
 * :class:`PreemptionPolicy` -- whether and how running jobs are
   suspended (never / the SS sweep engine / IS timeslices).  The sweep
-  engine is the former ``SelectiveSuspensionScheduler`` body, lifted
-  here and *parameterised*: TSS's category limits and the hybrids'
+  engine is *parameterised*: TSS's category limits and the hybrids'
   reservation guard are constructor arguments, not subclass overrides.
 
 :class:`PolicyKernel` is the single :class:`Scheduler` that drives any
 composition from the :mod:`repro.sim.driver` hooks; a composition is a
-declarative :class:`SchedulerSpec`.  Every legacy scheme class
-(``SelectiveSuspensionScheduler``, ``EasyBackfillScheduler``, ...) is
-now a thin spec-building subclass, and the specs serialise through
-:meth:`SchedulerSpec.config` into exactly the ``config()`` mappings the
-registry, the result cache and the golden traces already pin --
-the refactor is byte-identical on all eight committed golden traces
+declarative :class:`SchedulerSpec`.  Each scheme is one entry of the
+scheme table (:mod:`repro.schedulers.registry`) returning its spec, and
+the specs serialise through :meth:`SchedulerSpec.config` into the
+``config()`` mappings the result cache and the golden traces pin
 (``tests/test_kernel_equivalence.py``).
 
-The decomposition also unlocks hybrids the sealed classes could not
-express (see :mod:`repro.schedulers.hybrids`): ``ss-easy`` gives the
-queue head an EASY-style reservation that the preemption sweep must
-honor, and ``tss-conservative`` combines per-job guarantees with
+The decomposition also expresses hybrids: ``ss-easy`` gives the queue
+head an EASY-style reservation that the preemption sweep must honor,
+and ``tss-conservative`` combines per-job guarantees with
 category-limited preemption -- the paper's open question of selective
 preemption *under start-time guarantees*.
 """
@@ -386,8 +382,7 @@ class PerJobReservations(ReservationPolicy):
     """Conservative backfilling: every job gets a guarantee; early
     completions compress the schedule (section II-A-1).
 
-    This is the former ``ConservativeBackfillScheduler`` body.  As a
-    policy it also composes with a preemption sweep
+    As a policy it also composes with a preemption sweep
     (``tss-conservative``): jobs the sweep starts or suspends simply
     drop out of / re-enter the anchor table at the next compression --
     ``_profile_with_reservations`` already filters anchors against the
@@ -578,7 +573,8 @@ class RelaxedBackfill(BackfillPolicy):
 
 class SpeculativeBackfill(BackfillPolicy):
     """EASY admission plus bounded test runs into pre-reservation holes
-    (Perkovic & Keleher); see :mod:`repro.schedulers.speculative`."""
+    (Perkovic & Keleher); see the ``speculative`` entry of
+    :mod:`repro.schedulers.registry`."""
 
     resched_on_kill = True
 
@@ -660,13 +656,13 @@ class NoPreemption(PreemptionPolicy):
 class SweepPreemption(PreemptionPolicy):
     """The SS preemption sweep engine (section IV), parameterised.
 
-    This is the former ``SelectiveSuspensionScheduler`` dispatch body:
-    the periodic walk over the idle queue in descending suspension
-    priority that assembles processors for jobs that do not fit by
-    suspending running victims -- SF threshold, half-width rule for
-    fresh starts, local re-entry (``suspend_jobs_2``), widest-first
-    victim choice (``suspend_jobs_1``).  What used to be subclass
-    overrides are now parameters:
+    The SS dispatch body: the periodic walk over the idle queue in
+    descending suspension priority that assembles processors for jobs
+    that do not fit by suspending running victims -- SF threshold,
+    half-width rule for fresh starts, local re-entry
+    (``suspend_jobs_2``), widest-first victim choice
+    (``suspend_jobs_1``).  What used to be subclass overrides are now
+    parameters:
 
     * *limits* -- a :class:`PreemptionLimits` table (TSS's category
       limits); ``None`` means no victim is ever protected (plain SS).
@@ -1291,15 +1287,15 @@ _UNPROTECTED = float("-inf")
 class TimeslicePreemption(PreemptionPolicy):
     """The IS timeslice engine: serve-on-arrival with protection windows.
 
-    The former ``ImmediateServiceScheduler`` body (Chiang & Vernon's
-    "immediate service" comparator): every arriving job is offered an
-    immediate timeslice, suspending the running jobs with the lowest
-    queue priority (instantaneous xfactor in the IS composition) if
-    needed; every dispatch opens a protection window of one *timeslice*
-    past the job's pending suspend/restart overhead; and the periodic
-    sweep re-serves waiting jobs against unprotected victims of
-    *strictly lower* priority.  See :mod:`repro.core.immediate_service`
-    for the policy rationale and the pinned-down unstated details.
+    Chiang & Vernon's "immediate service" comparator: every arriving job
+    is offered an immediate timeslice, suspending the running jobs with
+    the lowest queue priority (instantaneous xfactor in the IS
+    composition) if needed; every dispatch opens a protection window of
+    one *timeslice* past the job's pending suspend/restart overhead; and
+    the periodic sweep re-serves waiting jobs against unprotected
+    victims of *strictly lower* priority.  See the ``is`` entry of
+    :mod:`repro.schedulers.registry` for the policy rationale and the
+    pinned-down unstated details.
 
     It runs on the same fast paths as :class:`SweepPreemption`, with
     identical schedules:
@@ -1697,10 +1693,8 @@ class SchedulerSpec:
 
     ``config()`` merges the axes' :meth:`Policy.config_fragment` dicts
     in a fixed order (queue, reservation, backfill, preemption) after
-    the scheme id, so cache fingerprints compose automatically -- and,
-    for the eight ported schemes, reproduce the legacy key order
-    byte-for-byte (the golden traces embed these dicts in ``run_begin``
-    events).
+    the scheme id, so cache fingerprints compose automatically (the
+    golden traces embed these dicts in ``run_begin`` events).
     """
 
     scheme_id: str
@@ -1738,9 +1732,10 @@ class PolicyKernel(Scheduler):
     policies override ``service_pass`` with their own engines.
 
     Scheme identity (``scheme_id``, ``name``, ``timer_interval``,
-    ``config()``) comes entirely from the :class:`SchedulerSpec`, so
-    concrete scheme classes are pure compositions plus back-compat
-    accessors.
+    ``config()``, :meth:`describe`) comes entirely from the
+    :class:`SchedulerSpec`; the kernel is never subclassed per scheme,
+    and callers reach scheme state through the axes (``.preemption``,
+    ``.reservation``, ``.backfill``).
 
     :meth:`quiet_until` tells the driver which timer ticks it may
     skip: on an empty queue, all of them until the next event (both
@@ -1765,6 +1760,11 @@ class PolicyKernel(Scheduler):
     # ------------------------------------------------------------------
     def config(self) -> dict[str, object]:
         return self.spec.config()
+
+    def describe(self) -> str:
+        if self.timer_interval is None:
+            return self.name
+        return f"{self.name}, sweep every {self.timer_interval:g}s"
 
     def on_begin(self) -> None:
         for policy in (self.queue, self.reservation, self.backfill, self.preemption):

@@ -4,13 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.immediate_service import ImmediateServiceScheduler
 from repro.core.overhead import DiskSwapOverheadModel
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
-from repro.schedulers.conservative import ConservativeBackfillScheduler
-from repro.schedulers.easy import EasyBackfillScheduler
-from repro.schedulers.fcfs import FCFSScheduler
-from repro.schedulers.gang import GangScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.sim.audit import AuditError, audit_result
 from repro.workload.job import fresh_copies
 from tests.conftest import run_sim
@@ -20,12 +15,12 @@ def test_audit_passes_every_scheduler(sdsc_trace_small):
     from repro.workload.archive import SDSC
 
     for factory, preemptive in [
-        (FCFSScheduler, False),
-        (EasyBackfillScheduler, False),
-        (ConservativeBackfillScheduler, False),
-        (lambda: SelectiveSuspensionScheduler(2.0), None),
-        (ImmediateServiceScheduler, None),
-        (lambda: GangScheduler(600.0), None),
+        (lambda: make_scheduler("fcfs"), False),
+        (lambda: make_scheduler("easy"), False),
+        (lambda: make_scheduler("conservative"), False),
+        (lambda: make_scheduler("ss", suspension_factor=2.0), None),
+        (lambda: make_scheduler("is"), None),
+        (lambda: make_scheduler("gang", quantum=600.0), None),
     ]:
         result = run_sim(
             fresh_copies(sdsc_trace_small), factory(), n_procs=SDSC.n_procs
@@ -38,7 +33,7 @@ def test_audit_passes_with_overhead(sdsc_trace_small):
 
     result = run_sim(
         fresh_copies(sdsc_trace_small),
-        SelectiveSuspensionScheduler(2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=SDSC.n_procs,
         overhead_model=DiskSwapOverheadModel(),
     )
@@ -49,7 +44,7 @@ def _clean_result():
     from tests.conftest import make_job
 
     job = make_job(job_id=0, submit=0.0, run=100.0, procs=2)
-    return run_sim([job], FCFSScheduler(), n_procs=4)
+    return run_sim([job], make_scheduler("fcfs"), n_procs=4)
 
 
 def test_audit_detects_duplicate_jobs():

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, _build_scheduler, build_parser, main
+from repro.schedulers.registry import scheme_aliases, scheme_params
+
+#: every scheme id and alias the table registers
+SCHEME_NAMES = [name for sid, aliases in scheme_aliases().items() for name in (sid, *aliases)]
 
 
 def test_parser_builds():
@@ -46,9 +50,14 @@ def test_run_with_load_scaling(capsys):
     assert rc == 0
 
 
-def test_run_unknown_scheduler():
-    with pytest.raises(SystemExit):
+def test_run_unknown_scheduler(capsys):
+    with pytest.raises(SystemExit) as exit_info:
         main(["run", "--scheduler", "bogus", "--jobs", "10"])
+    assert exit_info.value.code != 0
+    err = capsys.readouterr().err
+    assert "bogus" in err
+    for name in SCHEME_NAMES:
+        assert repr(name) in err
 
 
 def test_compare_command(capsys):
@@ -103,17 +112,32 @@ def test_run_from_swf_file(tmp_path, capsys):
     assert "EASY" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", ["gang", "relaxed", "speculative", "fcfs", "tss"])
+@pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_run_all_scheduler_names(name, capsys):
     rc = main(["run", "--trace", "SDSC", "--jobs", "80", "--scheduler", name])
     assert rc == 0
     assert "mean slowdown by category" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_sf_reaches_exactly_the_schemes_that_take_it(name):
+    """``--sf`` lands in the config of every scheme with a suspension
+    factor and nowhere else; names are case-insensitive."""
+    for command in (["run"], ["trace", "record", "--out", "x.jsonl"]):
+        args = build_parser().parse_args(
+            [*command, "--scheduler", name.upper(), "--sf", "5"]
+        )
+        config = _build_scheduler(args).config()
+        if "suspension_factor" in scheme_params(name):
+            assert config["suspension_factor"] == 5.0
+        else:
+            assert "suspension_factor" not in config
+
+
 # ----------------------------------------------------------------------
 # `trace` subcommands (docs/TRACING.md)
 # ----------------------------------------------------------------------
-def _record_small_trace(tmp_path, capsys, scheduler="ss"):
+def _record_small_trace(tmp_path, capsys, scheduler="ss", extra=()):
     out = tmp_path / f"{scheduler}.jsonl"
     rc = main(
         [
@@ -131,6 +155,7 @@ def _record_small_trace(tmp_path, capsys, scheduler="ss"):
             scheduler,
             "--out",
             str(out),
+            *extra,
         ]
     )
     assert rc == 0
@@ -178,10 +203,18 @@ def test_trace_gantt_ascii_and_csv(tmp_path, capsys):
     assert csv_text.startswith("job,start,end,duration,width,area,end_type,via,resumed")
 
 
-def test_trace_record_all_scheduler_names(tmp_path, capsys):
-    for name in ("easy", "tss", "is", "speculative"):
-        out, recorded = _record_small_trace(tmp_path, capsys, scheduler=name)
-        assert "trace summary:" in recorded
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_trace_record_all_scheduler_names(name, tmp_path, capsys):
+    out, recorded = _record_small_trace(
+        tmp_path, capsys, scheduler=name, extra=("--sf", "5")
+    )
+    assert "trace summary:" in recorded
+    from repro.obs import read_trace
+
+    (begin,) = [e for e in read_trace(str(out)) if e["type"] == "run_begin"]
+    assert begin["config"] == _build_scheduler(
+        build_parser().parse_args(["run", "--scheduler", name, "--sf", "5"])
+    ).config()
 
 
 def test_compare_with_trace_dir(tmp_path, capsys):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.workload.job import JobState
 from tests.conftest import make_job, run_sim
 
@@ -16,7 +16,7 @@ def test_backfills_past_blocked_head():
         make_job(job_id=1, submit=1.0, run=200.0, procs=8),  # blocked head
         make_job(job_id=2, submit=2.0, run=50.0, procs=2),  # terminates before head
     ]
-    run_sim(jobs, EasyBackfillScheduler(), n_procs=8)
+    run_sim(jobs, make_scheduler("easy"), n_procs=8)
     assert jobs[2].first_start_time == pytest.approx(2.0)
     assert jobs[1].first_start_time == pytest.approx(100.0)
 
@@ -29,7 +29,7 @@ def test_backfill_must_not_delay_head():
         make_job(job_id=1, submit=1.0, run=200.0, procs=8),  # head, reserved at 100
         make_job(job_id=2, submit=2.0, run=300.0, procs=3),  # would delay head
     ]
-    run_sim(jobs, EasyBackfillScheduler(), n_procs=8)
+    run_sim(jobs, make_scheduler("easy"), n_procs=8)
     assert jobs[1].first_start_time == pytest.approx(100.0)  # not delayed
     assert jobs[2].first_start_time >= 300.0  # behind the head
 
@@ -42,7 +42,7 @@ def test_backfill_on_spare_processors_beyond_head_need():
         make_job(job_id=1, submit=1.0, run=100.0, procs=6),  # head: starts at 100
         make_job(job_id=2, submit=2.0, run=500.0, procs=2),  # spare: 8-6=2 free at 100
     ]
-    run_sim(jobs, EasyBackfillScheduler(), n_procs=8)
+    run_sim(jobs, make_scheduler("easy"), n_procs=8)
     assert jobs[2].first_start_time == pytest.approx(2.0)
     assert jobs[1].first_start_time == pytest.approx(100.0)
 
@@ -58,7 +58,7 @@ def test_fig2_scenario():
         make_job(job_id=2, submit=2.0, run=100.0, procs=6),  # queued
         make_job(job_id=3, submit=3.0, run=30.0, procs=4),  # backfill candidate
     ]
-    run_sim(jobs, EasyBackfillScheduler(), n_procs=10)
+    run_sim(jobs, make_scheduler("easy"), n_procs=10)
     # job 3 backfills into the hole left by the short runner (t=40),
     # finishing at 70 -- before the head's reservation at t=100
     assert jobs[4].first_start_time == pytest.approx(40.0)
@@ -75,7 +75,7 @@ def test_uses_estimates_not_actuals_for_planning():
         make_job(job_id=0, submit=0.0, run=50.0, procs=8, estimate=500.0),
         make_job(job_id=1, submit=1.0, run=10.0, procs=8),
     ]
-    run_sim(jobs, EasyBackfillScheduler(), n_procs=8)
+    run_sim(jobs, make_scheduler("easy"), n_procs=8)
     assert jobs[1].first_start_time == pytest.approx(50.0)  # early completion used
 
 
@@ -88,13 +88,13 @@ def test_short_job_backfills_thanks_to_estimate():
         # actual 50 fits the 99s hole, but estimate 400 does not:
         make_job(job_id=2, submit=2.0, run=50.0, procs=3, estimate=400.0),
     ]
-    run_sim(jobs, EasyBackfillScheduler(), n_procs=8)
+    run_sim(jobs, make_scheduler("easy"), n_procs=8)
     assert jobs[2].first_start_time >= 300.0
 
 
 def test_fifo_when_everything_fits():
     jobs = [make_job(job_id=i, submit=float(i), run=10.0, procs=1) for i in range(6)]
-    run_sim(jobs, EasyBackfillScheduler(), n_procs=8)
+    run_sim(jobs, make_scheduler("easy"), n_procs=8)
     assert all(j.first_start_time == pytest.approx(j.submit_time) for j in jobs)
 
 
@@ -103,7 +103,7 @@ def test_drains_mixed_workload(ctc_trace_small):
 
     result = run_sim(
         [j.copy_static() for j in ctc_trace_small],
-        EasyBackfillScheduler(),
+        make_scheduler("easy"),
         n_procs=CTC.n_procs,
     )
     assert len(result.jobs) == len(ctc_trace_small)
@@ -115,7 +115,7 @@ def test_no_suspensions_ever(ctc_trace_small):
 
     result = run_sim(
         [j.copy_static() for j in ctc_trace_small],
-        EasyBackfillScheduler(),
+        make_scheduler("easy"),
         n_procs=CTC.n_procs,
     )
     assert result.total_suspensions == 0
@@ -125,17 +125,16 @@ def test_no_suspensions_ever(ctc_trace_small):
 def test_beats_fcfs_on_average_wait(ctc_trace_small):
     """Backfilling exists to beat FCFS on responsiveness."""
     from repro.metrics.aggregate import overall_stats
-    from repro.schedulers.fcfs import FCFSScheduler
     from repro.workload.archive import CTC
 
     easy = run_sim(
         [j.copy_static() for j in ctc_trace_small],
-        EasyBackfillScheduler(),
+        make_scheduler("easy"),
         n_procs=CTC.n_procs,
     )
     fcfs = run_sim(
         [j.copy_static() for j in ctc_trace_small],
-        FCFSScheduler(),
+        make_scheduler("fcfs"),
         n_procs=CTC.n_procs,
     )
     assert (

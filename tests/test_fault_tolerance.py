@@ -33,7 +33,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.experiments import (
     GridCell,
     GridExecutionError,
@@ -42,6 +41,7 @@ from repro.experiments import (
     run_grid,
 )
 from repro.experiments.shm import SEGMENT_PREFIX
+from repro.schedulers.registry import make_scheduler
 from repro.workload.synthetic import generate_trace
 
 from tests.fault_injection import (
@@ -85,7 +85,7 @@ def sf_cells(jobs, factors):
             key=f"sf={sf}",
             jobs=jobs,
             n_procs=N_PROCS,
-            scheduler_config=SelectiveSuspensionScheduler(sf).config(),
+            scheduler_config=make_scheduler("ss", suspension_factor=sf).config(),
         )
         for sf in factors
     ]
@@ -315,7 +315,7 @@ import functools
 
 from tests.fault_injection import KILL_RUN, FaultPlan, FaultSpec, faulty_simulate
 from repro.experiments import GridCell, ResultCache, run_grid
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.workload.synthetic import generate_trace
 
 jobs = generate_trace("SDSC", n_jobs=80, seed=3)
@@ -324,7 +324,7 @@ cells = [
         key=f"sf={{sf}}",
         jobs=jobs,
         n_procs=128,
-        scheduler_config=SelectiveSuspensionScheduler(sf).config(),
+        scheduler_config=make_scheduler("ss", suspension_factor=sf).config(),
     )
     for sf in {factors!r}
 ]

@@ -25,27 +25,20 @@ GRID_SCRIPT = """
 import sys
 from pathlib import Path
 
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
-from repro.core.tss import TunableSelectiveSuspensionScheduler
 from repro.experiments.parallel import GridCell, run_grid
-from repro.schedulers.conservative import ConservativeBackfillScheduler
-from repro.schedulers.easy import EasyBackfillScheduler
-from repro.schedulers.hybrids import (
-    SuspensionWithHeadGuarantee,
-    TunableSuspensionWithGuarantees,
-)
+from repro.schedulers.registry import make_scheduler
 from repro.workload.archive import get_preset
 from repro.workload.synthetic import generate_trace
 
 out = Path(sys.argv[1])
 n_procs = get_preset("CTC").n_procs
 schemes = [
-    ("ss", SelectiveSuspensionScheduler()),
-    ("tss", TunableSelectiveSuspensionScheduler(suspension_factor=2.0)),
-    ("easy", EasyBackfillScheduler()),
-    ("conservative", ConservativeBackfillScheduler()),
-    ("ss-easy", SuspensionWithHeadGuarantee()),
-    ("tss-conservative", TunableSuspensionWithGuarantees(suspension_factor=2.0)),
+    ("ss", make_scheduler("ss")),
+    ("tss", make_scheduler("tss", suspension_factor=2.0)),
+    ("easy", make_scheduler("easy")),
+    ("conservative", make_scheduler("conservative")),
+    ("ss-easy", make_scheduler("ss-easy")),
+    ("tss-conservative", make_scheduler("tss-conservative", suspension_factor=2.0)),
 ]
 cells = [
     GridCell(

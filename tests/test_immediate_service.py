@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.immediate_service import ImmediateServiceScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.workload.job import JobState
 from tests.conftest import make_job, run_sim
 
 
 def is_sched(timeslice=600.0, sweep=60.0):
-    return ImmediateServiceScheduler(timeslice=timeslice, sweep_interval=sweep)
+    return make_scheduler("is", timeslice=timeslice, sweep_interval=sweep)
 
 
 def test_arrival_gets_immediate_service_by_preemption():
@@ -54,7 +54,7 @@ def test_free_processors_used_before_preemption():
 
 def test_timeslice_parameter_validated():
     with pytest.raises(ValueError):
-        ImmediateServiceScheduler(timeslice=0.0)
+        make_scheduler("is", timeslice=0.0)
 
 
 def test_suspended_job_resumes_and_finishes():
@@ -68,12 +68,11 @@ def test_suspended_job_resumes_and_finishes():
 def test_very_short_jobs_do_well_on_mix(sdsc_trace_small):
     """The paper: IS is excellent for the VS categories."""
     from repro.metrics.aggregate import per_category_stats
-    from repro.schedulers.easy import EasyBackfillScheduler
     from repro.workload.archive import SDSC
 
     ns = run_sim(
         [j.copy_static() for j in sdsc_trace_small],
-        EasyBackfillScheduler(),
+        make_scheduler("easy"),
         n_procs=SDSC.n_procs,
     )
     is_run = run_sim(
@@ -90,13 +89,12 @@ def test_very_short_jobs_do_well_on_mix(sdsc_trace_small):
 
 def test_long_jobs_suffer_on_mix(sdsc_trace_small):
     """The paper: IS severely degrades long jobs vs SS."""
-    from repro.core.selective_suspension import SelectiveSuspensionScheduler
     from repro.metrics.aggregate import per_category_stats
     from repro.workload.archive import SDSC
 
     ss = run_sim(
         [j.copy_static() for j in sdsc_trace_small],
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=SDSC.n_procs,
     )
     is_run = run_sim(
@@ -118,12 +116,11 @@ def test_long_jobs_suffer_on_mix(sdsc_trace_small):
 
 
 def test_is_suspends_far_more_than_ss(sdsc_trace_small):
-    from repro.core.selective_suspension import SelectiveSuspensionScheduler
     from repro.workload.archive import SDSC
 
     ss = run_sim(
         [j.copy_static() for j in sdsc_trace_small],
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=SDSC.n_procs,
     )
     is_run = run_sim(

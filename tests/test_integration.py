@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.immediate_service import ImmediateServiceScheduler
 from repro.core.overhead import DiskSwapOverheadModel
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
-from repro.core.tss import TunableSelectiveSuspensionScheduler, limits_from_result
+from repro.core.tss import limits_from_result
 from repro.metrics.aggregate import overall_stats, per_category_stats
-from repro.schedulers.conservative import ConservativeBackfillScheduler
-from repro.schedulers.easy import EasyBackfillScheduler
-from repro.schedulers.fcfs import FCFSScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.workload.archive import CTC, SDSC
 from repro.workload.estimates import InaccurateEstimates
 from repro.workload.job import JobState, fresh_copies
@@ -26,12 +22,12 @@ from repro.workload.synthetic import generate_trace
 from tests.conftest import run_sim
 
 ALL_SCHEDULERS = [
-    FCFSScheduler,
-    EasyBackfillScheduler,
-    ConservativeBackfillScheduler,
-    lambda: SelectiveSuspensionScheduler(suspension_factor=2.0),
-    lambda: TunableSelectiveSuspensionScheduler(suspension_factor=2.0),
-    ImmediateServiceScheduler,
+    lambda: make_scheduler("fcfs"),
+    lambda: make_scheduler("easy"),
+    lambda: make_scheduler("conservative"),
+    lambda: make_scheduler("ss", suspension_factor=2.0),
+    lambda: make_scheduler("tss", suspension_factor=2.0),
+    lambda: make_scheduler("is"),
 ]
 
 
@@ -112,14 +108,14 @@ def test_makespans_comparable(sdsc_runs):
 @pytest.fixture(scope="module")
 def ctc_runs():
     jobs = generate_trace("CTC", n_jobs=900, seed=5)
-    ns = run_sim(fresh_copies(jobs), EasyBackfillScheduler(), n_procs=CTC.n_procs)
+    ns = run_sim(fresh_copies(jobs), make_scheduler("easy"), n_procs=CTC.n_procs)
     ss = run_sim(
         fresh_copies(jobs),
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=CTC.n_procs,
     )
     is_run = run_sim(
-        fresh_copies(jobs), ImmediateServiceScheduler(), n_procs=CTC.n_procs
+        fresh_copies(jobs), make_scheduler("is"), n_procs=CTC.n_procs
     )
     return {"NS": ns, "SS": ss, "IS": is_run}
 
@@ -169,16 +165,16 @@ def test_claim_overhead_is_minor():
     jobs = generate_trace("SDSC", n_jobs=350, seed=31)
     free = run_sim(
         fresh_copies(jobs),
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=SDSC.n_procs,
     )
     priced = run_sim(
         fresh_copies(jobs),
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=SDSC.n_procs,
         overhead_model=DiskSwapOverheadModel(),
     )
-    ns = run_sim(fresh_copies(jobs), EasyBackfillScheduler(), n_procs=SDSC.n_procs)
+    ns = run_sim(fresh_copies(jobs), make_scheduler("easy"), n_procs=SDSC.n_procs)
     sd_free = overall_stats(free.jobs).slowdown.mean
     sd_priced = overall_stats(priced.jobs).slowdown.mean
     sd_ns = overall_stats(ns.jobs).slowdown.mean
@@ -193,11 +189,11 @@ def test_claim_ss_advantage_grows_with_load():
     for load in (1.0, 1.3):
         scaled = scale_load(jobs, load)
         ns = run_sim(
-            fresh_copies(scaled), EasyBackfillScheduler(), n_procs=SDSC.n_procs
+            fresh_copies(scaled), make_scheduler("easy"), n_procs=SDSC.n_procs
         )
         ss = run_sim(
             fresh_copies(scaled),
-            SelectiveSuspensionScheduler(suspension_factor=2.0),
+            make_scheduler("ss", suspension_factor=2.0),
             n_procs=SDSC.n_procs,
         )
         gaps[load] = (
@@ -215,11 +211,11 @@ def test_claim_is_utilization_lower_under_load():
     jobs = scale_load(generate_trace("CTC", n_jobs=700, seed=13), 1.6)
     ss = run_sim(
         fresh_copies(jobs),
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=CTC.n_procs,
     )
     is_run = run_sim(
-        fresh_copies(jobs), ImmediateServiceScheduler(), n_procs=CTC.n_procs
+        fresh_copies(jobs), make_scheduler("is"), n_procs=CTC.n_procs
     )
     assert is_run.steady_utilization < ss.steady_utilization
 
@@ -232,7 +228,7 @@ def test_claim_badly_estimated_short_jobs_penalised():
     )
     ss = run_sim(
         fresh_copies(jobs),
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=SDSC.n_procs,
     )
     well = per_category_stats(ss.jobs, quality="well")
@@ -251,12 +247,12 @@ def test_claim_badly_estimated_short_jobs_penalised():
 def test_tss_calibration_pipeline():
     """NS -> limits -> TSS round trip at integration scale."""
     jobs = generate_trace("CTC", n_jobs=400, seed=29)
-    ns = run_sim(fresh_copies(jobs), EasyBackfillScheduler(), n_procs=CTC.n_procs)
+    ns = run_sim(fresh_copies(jobs), make_scheduler("easy"), n_procs=CTC.n_procs)
     limits = limits_from_result(ns)
     assert limits.table  # every populated category got a limit
     tss = run_sim(
         fresh_copies(jobs),
-        TunableSelectiveSuspensionScheduler(suspension_factor=2.0, limits=limits),
+        make_scheduler("tss", suspension_factor=2.0, limits=limits),
         n_procs=CTC.n_procs,
     )
     assert len(tss.jobs) == len(jobs)

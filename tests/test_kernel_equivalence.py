@@ -39,12 +39,9 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.machine import Cluster
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
-from repro.core.tss import TunableSelectiveSuspensionScheduler
 from repro.obs.recorder import JsonlRecorder
 from repro.schedulers.base import Scheduler
-from repro.schedulers.conservative import ConservativeBackfillScheduler
-from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.sim.driver import SchedulingSimulation
 from repro.workload.synthetic import generate_trace
 
@@ -99,24 +96,21 @@ IS_TRACE_SHA256 = {
 
 def _make_scheduler(name: str) -> Scheduler:
     if name == "ss":
-        return SelectiveSuspensionScheduler(suspension_factor=2.0)
+        return make_scheduler("ss", suspension_factor=2.0)
     if name == "tss":
-        return TunableSelectiveSuspensionScheduler(suspension_factor=2.0)
+        return make_scheduler("tss", suspension_factor=2.0)
     if name == "easy":
-        return EasyBackfillScheduler()
+        return make_scheduler("easy")
     if name == "ss-easy":
-        from repro.schedulers.hybrids import SuspensionWithHeadGuarantee
 
-        return SuspensionWithHeadGuarantee(suspension_factor=2.0)
+        return make_scheduler("ss-easy", suspension_factor=2.0)
     if name == "tss-conservative":
-        from repro.schedulers.hybrids import TunableSuspensionWithGuarantees
 
-        return TunableSuspensionWithGuarantees(suspension_factor=2.0)
+        return make_scheduler("tss-conservative", suspension_factor=2.0)
     if name == "is":
-        from repro.core.immediate_service import ImmediateServiceScheduler
 
-        return ImmediateServiceScheduler()
-    return ConservativeBackfillScheduler()
+        return make_scheduler("is")
+    return make_scheduler("conservative")
 
 
 @pytest.mark.parametrize(

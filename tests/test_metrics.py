@@ -21,6 +21,7 @@ from repro.metrics.slowdown import (
     xfactor_final,
 )
 from repro.metrics.utilization import busy_area_from_jobs, utilization_from_jobs
+from repro.schedulers.registry import make_scheduler
 from repro.workload.categories import classify_four_way
 from tests.conftest import make_job
 
@@ -199,13 +200,12 @@ def test_utilization_from_jobs():
 
 def test_driver_integral_equals_job_areas(ctc_trace_small):
     """Cross-validation of the two utilisation paths on a real run."""
-    from repro.schedulers.easy import EasyBackfillScheduler
     from repro.workload.archive import CTC
     from tests.conftest import run_sim
 
     result = run_sim(
         [j.copy_static() for j in ctc_trace_small],
-        EasyBackfillScheduler(),
+        make_scheduler("easy"),
         n_procs=CTC.n_procs,
     )
     assert result.busy_proc_seconds == pytest.approx(

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from repro.cluster.bitset import mask_from_ids
 from repro.cluster.machine import Cluster
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.experiments.runner import simulate
 from repro.metrics.aggregate import overall_stats
 from repro.obs import InMemoryRecorder
+from repro.schedulers.registry import make_scheduler
 from repro.sim.driver import SchedulingSimulation
 from repro.workload.archive import SDSC
 from repro.workload.synthetic import generate_trace
@@ -16,16 +16,12 @@ from tests.conftest import make_job
 
 def test_migratable_job_restarts_anywhere():
     """With migration, a suspended job resumes on whatever is free."""
-
-    class Script(SelectiveSuspensionScheduler):
-        pass
-
     victim = make_job(job_id=0, submit=0.0, run=500.0, procs=2)
     preemptor = make_job(job_id=1, submit=1.0, run=5000.0, procs=2)
     squatter = make_job(job_id=2, submit=2.0, run=60.0, procs=2)
     sim = SchedulingSimulation(
         Cluster(4),
-        SelectiveSuspensionScheduler(suspension_factor=1.2, preemption_interval=10.0),
+        make_scheduler("ss", suspension_factor=1.2, preemption_interval=10.0),
         migratable=True,
     )
     sim.run([victim, preemptor, squatter])
@@ -38,11 +34,11 @@ def test_migratable_job_restarts_anywhere():
 def test_migration_never_hurts_drain():
     jobs = generate_trace("SDSC", n_jobs=250, seed=19)
     local = simulate(
-        jobs, SelectiveSuspensionScheduler(suspension_factor=2.0), SDSC.n_procs
+        jobs, make_scheduler("ss", suspension_factor=2.0), SDSC.n_procs
     )
     migr = simulate(
         jobs,
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         SDSC.n_procs,
         migratable=True,
     )
@@ -54,11 +50,11 @@ def test_migration_weakly_improves_turnaround_of_suspended_jobs():
     of suspended jobs in aggregate (statistical claim on a fixed seed)."""
     jobs = generate_trace("SDSC", n_jobs=400, seed=19)
     local = simulate(
-        jobs, SelectiveSuspensionScheduler(suspension_factor=1.5), SDSC.n_procs
+        jobs, make_scheduler("ss", suspension_factor=1.5), SDSC.n_procs
     )
     migr = simulate(
         jobs,
-        SelectiveSuspensionScheduler(suspension_factor=1.5),
+        make_scheduler("ss", suspension_factor=1.5),
         SDSC.n_procs,
         migratable=True,
     )
@@ -71,7 +67,7 @@ def test_migration_weakly_improves_turnaround_of_suspended_jobs():
 def test_default_remains_local():
     jobs = generate_trace("SDSC", n_jobs=150, seed=19)
     result = simulate(
-        jobs, SelectiveSuspensionScheduler(suspension_factor=1.5), SDSC.n_procs
+        jobs, make_scheduler("ss", suspension_factor=1.5), SDSC.n_procs
     )
     # any job that was suspended carried a pinned set until resume; the
     # invariant is enforced inside Job.mark_started, so reaching here
@@ -83,7 +79,7 @@ def test_migratable_suspension_clears_the_pin():
     """A migratable suspension leaves nothing pinned: the job's
     ``suspended_mask`` is 0 and placement no longer avoids its
     processors (regression: the mask used to survive the suspension)."""
-    sched = SelectiveSuspensionScheduler(suspension_factor=2.0)
+    sched = make_scheduler("ss", suspension_factor=2.0)
     sim = SchedulingSimulation(Cluster(8), sched, migratable=True)
     sched.bind(sim)
     job = make_job(job_id=0, submit=0.0, run=100.0, procs=2)
@@ -116,7 +112,7 @@ def test_stale_pin_would_move_a_fresh_start():
     recorder = InMemoryRecorder()
     sim = SchedulingSimulation(
         Cluster(8),
-        SelectiveSuspensionScheduler(suspension_factor=1.2, preemption_interval=10.0),
+        make_scheduler("ss", suspension_factor=1.2, preemption_interval=10.0),
         migratable=True,
         recorder=recorder,
     )

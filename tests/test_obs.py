@@ -23,10 +23,7 @@ import math
 
 import pytest
 
-from repro.core.immediate_service import ImmediateServiceScheduler
 from repro.core.overhead import DiskSwapOverheadModel
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
-from repro.core.tss import TunableSelectiveSuspensionScheduler
 from repro.experiments.runner import simulate
 from repro.obs import (
     DENIAL_CAUSES,
@@ -39,17 +36,17 @@ from repro.obs import (
     summarize_trace,
 )
 from repro.obs.events import DECISION_ACTIONS
-from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.sim.audit import audit_result
 from repro.workload.synthetic import generate_trace
 
 N_PROCS = 128
 
 SCHEDULER_FACTORIES = {
-    "ss": lambda: SelectiveSuspensionScheduler(suspension_factor=1.5),
-    "tss": lambda: TunableSelectiveSuspensionScheduler(suspension_factor=1.5),
-    "is": ImmediateServiceScheduler,
-    "ns": EasyBackfillScheduler,
+    "ss": lambda: make_scheduler("ss", suspension_factor=1.5),
+    "tss": lambda: make_scheduler("tss", suspension_factor=1.5),
+    "is": lambda: make_scheduler("is"),
+    "ns": lambda: make_scheduler("easy"),
 }
 
 
@@ -73,13 +70,13 @@ def close(a: float, b: float) -> bool:
 # zero-overhead-when-off
 # ----------------------------------------------------------------------
 def test_untraced_run_has_no_counters(trace_jobs):
-    result = simulate(trace_jobs, EasyBackfillScheduler(), N_PROCS)
+    result = simulate(trace_jobs, make_scheduler("easy"), N_PROCS)
     assert result.counters is None
 
 
 def test_disabled_recorder_keeps_tracing_off(trace_jobs):
     assert not NULL_RECORDER.enabled
-    result = simulate(trace_jobs, EasyBackfillScheduler(), N_PROCS, recorder=NULL_RECORDER)
+    result = simulate(trace_jobs, make_scheduler("easy"), N_PROCS, recorder=NULL_RECORDER)
     assert result.counters is None
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.overhead import DiskSwapOverheadModel, FixedOverheadModel
+from repro.schedulers.registry import make_scheduler
 from tests.conftest import make_job
 
 
@@ -78,18 +79,17 @@ def test_fixed_model_validates():
 def test_overhead_inflates_turnaround_in_simulation(sdsc_trace_small):
     """End to end: the same SS run with overhead has (weakly) worse
     total turnaround and identical job count."""
-    from repro.core.selective_suspension import SelectiveSuspensionScheduler
     from repro.workload.archive import SDSC
     from tests.conftest import run_sim
 
     free = run_sim(
         [j.copy_static() for j in sdsc_trace_small],
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=SDSC.n_procs,
     )
     priced = run_sim(
         [j.copy_static() for j in sdsc_trace_small],
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=SDSC.n_procs,
         overhead_model=DiskSwapOverheadModel(),
     )

@@ -16,8 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.overhead import DiskSwapOverheadModel, FixedOverheadModel
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
-from repro.core.tss import TunableSelectiveSuspensionScheduler
 from repro.experiments import (
     GridCell,
     ResultCache,
@@ -31,8 +29,8 @@ from repro.experiments import (
     tuned_schemes,
 )
 from repro.experiments.parallel import resolve_workers
-from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.registry import known_schemes, scheduler_from_config
+from repro.schedulers.registry import make_scheduler
 from repro.workload.synthetic import generate_trace
 
 N_PROCS = 128
@@ -74,21 +72,21 @@ def test_config_round_trip_all_registered_schemes():
 
 
 def test_config_round_trip_preserves_parameters():
-    s = SelectiveSuspensionScheduler(
-        suspension_factor=5.0, preemption_interval=30.0, width_rule=False
+    s = make_scheduler(
+        "ss", suspension_factor=5.0, preemption_interval=30.0, width_rule=False
     )
     rebuilt = scheduler_from_config(s.config())
     assert rebuilt.config() == s.config()
-    assert rebuilt.criteria.suspension_factor == 5.0
+    assert rebuilt.preemption.criteria.suspension_factor == 5.0
     assert rebuilt.timer_interval == 30.0
-    assert rebuilt.criteria.width_rule is False
+    assert rebuilt.preemption.criteria.width_rule is False
 
 
 def test_config_round_trip_tss_calibrated_limits(small_trace):
-    ns = simulate(small_trace, EasyBackfillScheduler(), N_PROCS)
+    ns = simulate(small_trace, make_scheduler("easy"), N_PROCS)
     from repro.core.tss import limits_from_result
 
-    s = TunableSelectiveSuspensionScheduler(2.0, limits=limits_from_result(ns))
+    s = make_scheduler("tss", suspension_factor=2.0, limits=limits_from_result(ns))
     cfg = s.config()
     rebuilt = scheduler_from_config(cfg)
     assert rebuilt.config() == cfg
@@ -138,7 +136,7 @@ def test_run_grid_preserves_input_order(small_trace):
             key=f"sf={sf}",
             jobs=small_trace,
             n_procs=N_PROCS,
-            scheduler_config=SelectiveSuspensionScheduler(sf).config(),
+            scheduler_config=make_scheduler("ss", suspension_factor=sf).config(),
         )
         for sf in (5.0, 1.5, 2.0)  # deliberately not sorted
     ]
@@ -153,7 +151,7 @@ def test_run_grid_rejects_duplicate_keys(small_trace):
         key="dup",
         jobs=small_trace,
         n_procs=N_PROCS,
-        scheduler_config=EasyBackfillScheduler().config(),
+        scheduler_config=make_scheduler("easy").config(),
     )
     with pytest.raises(ValueError, match="duplicate"):
         run_grid([cell, cell])
@@ -187,8 +185,8 @@ def test_warm_cache_runs_zero_simulations(small_trace, tmp_path):
             scheduler_config=cfg,
         )
         for label, cfg in (
-            ("SF = 2", SelectiveSuspensionScheduler(2.0).config()),
-            ("No Suspension", EasyBackfillScheduler().config()),
+            ("SF = 2", make_scheduler("ss", suspension_factor=2.0).config()),
+            ("No Suspension", make_scheduler("easy").config()),
         )
     ]
     outcome = run_grid(cells, workers=2, cache=cache)
@@ -207,7 +205,7 @@ def test_cached_result_identical_to_fresh(small_trace, tmp_path):
         key="ss",
         jobs=small_trace,
         n_procs=N_PROCS,
-        scheduler_config=SelectiveSuspensionScheduler(2.0).config(),
+        scheduler_config=make_scheduler("ss", suspension_factor=2.0).config(),
     )
     cold = run_grid([cell], cache=cache)
     warm = run_grid([cell], cache=cache)
@@ -222,18 +220,18 @@ def test_fingerprint_sensitivity(small_trace):
     """The cache key must change with anything that changes results."""
     jobs_fp = fingerprint_jobs(small_trace)
     base = cell_fingerprint(
-        jobs_fp, N_PROCS, SelectiveSuspensionScheduler(2.0).config(), None, False
+        jobs_fp, N_PROCS, make_scheduler("ss", suspension_factor=2.0).config(), None, False
     )
 
     # different SF
     assert base != cell_fingerprint(
-        jobs_fp, N_PROCS, SelectiveSuspensionScheduler(1.5).config(), None, False
+        jobs_fp, N_PROCS, make_scheduler("ss", suspension_factor=1.5).config(), None, False
     )
     # different sweep interval
     assert base != cell_fingerprint(
         jobs_fp,
         N_PROCS,
-        SelectiveSuspensionScheduler(2.0, preemption_interval=30.0).config(),
+        make_scheduler("ss", suspension_factor=2.0, preemption_interval=30.0).config(),
         None,
         False,
     )
@@ -241,7 +239,7 @@ def test_fingerprint_sensitivity(small_trace):
     assert base != cell_fingerprint(
         jobs_fp,
         N_PROCS,
-        SelectiveSuspensionScheduler(2.0, width_rule=False).config(),
+        make_scheduler("ss", suspension_factor=2.0, width_rule=False).config(),
         None,
         False,
     )
@@ -249,7 +247,7 @@ def test_fingerprint_sensitivity(small_trace):
     with_oh = cell_fingerprint(
         jobs_fp,
         N_PROCS,
-        SelectiveSuspensionScheduler(2.0).config(),
+        make_scheduler("ss", suspension_factor=2.0).config(),
         DiskSwapOverheadModel(),
         False,
     )
@@ -257,27 +255,27 @@ def test_fingerprint_sensitivity(small_trace):
     assert with_oh != cell_fingerprint(
         jobs_fp,
         N_PROCS,
-        SelectiveSuspensionScheduler(2.0).config(),
+        make_scheduler("ss", suspension_factor=2.0).config(),
         FixedOverheadModel(30.0),
         False,
     )
     # migratable flag
     assert base != cell_fingerprint(
-        jobs_fp, N_PROCS, SelectiveSuspensionScheduler(2.0).config(), None, True
+        jobs_fp, N_PROCS, make_scheduler("ss", suspension_factor=2.0).config(), None, True
     )
     # machine size
     assert base != cell_fingerprint(
-        jobs_fp, 256, SelectiveSuspensionScheduler(2.0).config(), None, False
+        jobs_fp, 256, make_scheduler("ss", suspension_factor=2.0).config(), None, False
     )
     # different trace (seed)
     other_fp = fingerprint_jobs(generate_trace("SDSC", n_jobs=120, seed=6))
     assert other_fp != jobs_fp
     assert base != cell_fingerprint(
-        other_fp, N_PROCS, SelectiveSuspensionScheduler(2.0).config(), None, False
+        other_fp, N_PROCS, make_scheduler("ss", suspension_factor=2.0).config(), None, False
     )
     # ... and identical inputs reproduce the same fingerprint
     assert base == cell_fingerprint(
-        jobs_fp, N_PROCS, SelectiveSuspensionScheduler(2.0).config(), None, False
+        jobs_fp, N_PROCS, make_scheduler("ss", suspension_factor=2.0).config(), None, False
     )
 
 
@@ -293,7 +291,7 @@ def test_cache_survives_corrupt_entry(small_trace, tmp_path):
         key="x",
         jobs=small_trace,
         n_procs=N_PROCS,
-        scheduler_config=EasyBackfillScheduler().config(),
+        scheduler_config=make_scheduler("easy").config(),
     )
     run_grid([cell], cache=cache)
     (path,) = list((tmp_path / "cache").rglob("*.pkl"))
@@ -368,7 +366,7 @@ def test_run_grid_rejects_shared_trace_paths(small_trace, tmp_path):
             key=key,
             jobs=small_trace,
             n_procs=N_PROCS,
-            scheduler_config=EasyBackfillScheduler().config(),
+            scheduler_config=make_scheduler("easy").config(),
             trace_path=str(tmp_path / "same.jsonl"),
         )
         for key in ("a", "b")
@@ -385,14 +383,14 @@ def test_run_grid_writes_traces_and_bypasses_cache(small_trace, tmp_path):
         key="traced",
         jobs=small_trace,
         n_procs=N_PROCS,
-        scheduler_config=EasyBackfillScheduler().config(),
+        scheduler_config=make_scheduler("easy").config(),
         trace_path=str(tmp_path / "traced.jsonl"),
     )
     plain = GridCell(
         key="plain",
         jobs=small_trace,
         n_procs=N_PROCS,
-        scheduler_config=EasyBackfillScheduler().config(),
+        scheduler_config=make_scheduler("easy").config(),
     )
     first = run_grid([traced, plain], cache=cache)
     assert first.executed == 2 and first.cache_hits == 0

@@ -6,13 +6,13 @@ import pytest
 
 from repro.cluster.bitset import mask_from_ids
 from repro.cluster.machine import Cluster
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.sim.driver import SchedulingSimulation
 from tests.conftest import make_job
 
 
 def bound_scheduler(n_procs=8):
-    sched = SelectiveSuspensionScheduler(suspension_factor=2.0)
+    sched = make_scheduler("ss", suspension_factor=2.0)
     sim = SchedulingSimulation(Cluster(n_procs), sched)
     sched.bind(sim)
     return sched, sim

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from repro.cluster.machine import Cluster
 from repro.metrics.slowdown import bounded_slowdown, turnaround_time, wait_time
 from repro.metrics.utilization import busy_area_from_jobs
-from repro.schedulers.easy import EasyBackfillScheduler
-from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.profiles import AvailabilityProfile
+from repro.schedulers.registry import make_scheduler
 from repro.sim.events import EventKind, EventQueue
 from repro.workload.job import Job, JobState
 from tests.conftest import run_sim
@@ -122,7 +121,7 @@ def test_profile_anchor_window_actually_fits(claim_list, duration, count):
 @given(job_lists)
 def test_fcfs_schedule_invariants(raw):
     jobs = build_jobs(raw)
-    result = run_sim(jobs, FCFSScheduler(), n_procs=N_PROCS)
+    result = run_sim(jobs, make_scheduler("fcfs"), n_procs=N_PROCS)
     _assert_schedule_sane(jobs, result)
 
 
@@ -130,19 +129,18 @@ def test_fcfs_schedule_invariants(raw):
 @given(job_lists)
 def test_easy_schedule_invariants(raw):
     jobs = build_jobs(raw)
-    result = run_sim(jobs, EasyBackfillScheduler(), n_procs=N_PROCS)
+    result = run_sim(jobs, make_scheduler("easy"), n_procs=N_PROCS)
     _assert_schedule_sane(jobs, result)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(job_lists)
 def test_ss_schedule_invariants(raw):
-    from repro.core.selective_suspension import SelectiveSuspensionScheduler
 
     jobs = build_jobs(raw)
     result = run_sim(
         jobs,
-        SelectiveSuspensionScheduler(suspension_factor=2.0, preemption_interval=60.0),
+        make_scheduler("ss", suspension_factor=2.0, preemption_interval=60.0),
         n_procs=N_PROCS,
     )
     _assert_schedule_sane(jobs, result)
@@ -172,8 +170,8 @@ def _assert_schedule_sane(jobs: list[Job], result) -> None:
 @given(job_lists)
 def test_determinism_across_runs(raw):
     """Two identical simulations produce identical schedules."""
-    a = run_sim(build_jobs(raw), EasyBackfillScheduler(), n_procs=N_PROCS)
-    b = run_sim(build_jobs(raw), EasyBackfillScheduler(), n_procs=N_PROCS)
+    a = run_sim(build_jobs(raw), make_scheduler("easy"), n_procs=N_PROCS)
+    b = run_sim(build_jobs(raw), make_scheduler("easy"), n_procs=N_PROCS)
     assert [(j.job_id, j.first_start_time, j.finish_time) for j in a.jobs] == [
         (j.job_id, j.first_start_time, j.finish_time) for j in b.jobs
     ]
@@ -344,20 +342,18 @@ def test_cluster_agrees_with_set_model(ops):
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(job_lists)
 def test_is_schedule_invariants(raw):
-    from repro.core.immediate_service import ImmediateServiceScheduler
 
     jobs = build_jobs(raw)
-    result = run_sim(jobs, ImmediateServiceScheduler(), n_procs=N_PROCS)
+    result = run_sim(jobs, make_scheduler("is"), n_procs=N_PROCS)
     _assert_schedule_sane(jobs, result)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(job_lists)
 def test_gang_schedule_invariants(raw):
-    from repro.schedulers.gang import GangScheduler
 
     jobs = build_jobs(raw)
-    result = run_sim(jobs, GangScheduler(quantum=300.0), n_procs=N_PROCS)
+    result = run_sim(jobs, make_scheduler("gang", quantum=300.0), n_procs=N_PROCS)
     _assert_schedule_sane(jobs, result)
 
 
@@ -366,12 +362,11 @@ def test_gang_schedule_invariants(raw):
 def test_speculative_schedule_invariants(raw):
     """Kills discard progress but every invariant the auditor knows
     about must still hold (conservation includes wasted time)."""
-    from repro.schedulers.speculative import SpeculativeBackfillScheduler
     from repro.sim.audit import audit_result
 
     jobs = build_jobs(raw)
     result = run_sim(
-        jobs, SpeculativeBackfillScheduler(speculation_window=300.0), n_procs=N_PROCS
+        jobs, make_scheduler("speculative", speculation_window=300.0), n_procs=N_PROCS
     )
     assert len(result.jobs) == len(jobs)
     audit_result(result)
@@ -381,12 +376,11 @@ def test_speculative_schedule_invariants(raw):
 @given(job_lists)
 def test_audit_accepts_every_generated_schedule(raw):
     """The auditor must never flag a schedule the driver produced."""
-    from repro.core.tss import TunableSelectiveSuspensionScheduler
     from repro.sim.audit import audit_result
 
     jobs = build_jobs(raw)
     result = run_sim(
-        jobs, TunableSelectiveSuspensionScheduler(suspension_factor=2.0), n_procs=N_PROCS
+        jobs, make_scheduler("tss", suspension_factor=2.0), n_procs=N_PROCS
     )
     audit_result(result)
 

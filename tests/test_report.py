@@ -6,14 +6,14 @@ import pytest
 
 from repro.analysis.report import experiment_report, scheme_comparison_report
 from repro.experiments.runner import compare_schemes, simulate, standard_schemes
-from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.workload.synthetic import generate_trace
 
 
 @pytest.fixture(scope="module")
 def small_result():
     jobs = generate_trace("SDSC", n_jobs=150, seed=2)
-    return simulate(jobs, EasyBackfillScheduler(), 128)
+    return simulate(jobs, make_scheduler("easy"), 128)
 
 
 @pytest.fixture(scope="module")

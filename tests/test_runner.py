@@ -11,8 +11,7 @@ from repro.experiments.runner import (
     standard_schemes,
     tuned_schemes,
 )
-from repro.schedulers.easy import EasyBackfillScheduler
-from repro.schedulers.fcfs import FCFSScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.workload.job import JobState
 from tests.conftest import make_job
 
@@ -23,21 +22,21 @@ def small_jobs():
 
 def test_simulate_copies_jobs_by_default():
     jobs = small_jobs()
-    result = simulate(jobs, FCFSScheduler(), n_procs=4)
+    result = simulate(jobs, make_scheduler("fcfs"), n_procs=4)
     assert all(j.state is JobState.PENDING for j in jobs)  # originals untouched
     assert all(j.state is JobState.FINISHED for j in result.jobs)
 
 
 def test_simulate_in_place_mode():
     jobs = small_jobs()
-    simulate(jobs, FCFSScheduler(), n_procs=4, copy_jobs=False)
+    simulate(jobs, make_scheduler("fcfs"), n_procs=4, copy_jobs=False)
     assert all(j.state is JobState.FINISHED for j in jobs)
 
 
 def test_simulate_rejects_too_wide_jobs():
     jobs = [make_job(procs=10)]
     with pytest.raises(ValueError, match="never run"):
-        simulate(jobs, FCFSScheduler(), n_procs=4)
+        simulate(jobs, make_scheduler("fcfs"), n_procs=4)
 
 
 def test_standard_schemes_labels():
@@ -75,8 +74,8 @@ def test_compare_schemes_isolated_workload_copies():
         jobs,
         4,
         [
-            SchemeSpec("a", EasyBackfillScheduler),
-            SchemeSpec("b", EasyBackfillScheduler),
+            SchemeSpec("a", lambda: make_scheduler("easy")),
+            SchemeSpec("b", lambda: make_scheduler("easy")),
         ],
     )
     a = [(j.job_id, j.finish_time) for j in results["a"].jobs]

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.workload.job import JobState
 from tests.conftest import make_job, run_sim
 
 
 def ss(sf=2.0, interval=60.0, width_rule=True):
-    return SelectiveSuspensionScheduler(
-        suspension_factor=sf, preemption_interval=interval, width_rule=width_rule
+    return make_scheduler(
+        "ss", suspension_factor=sf, preemption_interval=interval, width_rule=width_rule
     )
 
 
@@ -184,12 +184,11 @@ def test_lower_sf_more_suspensions(sdsc_trace_small):
 def test_improves_short_wide_jobs_vs_ns(sdsc_trace_small):
     """The paper's headline claim on the worst category."""
     from repro.metrics.aggregate import per_category_stats
-    from repro.schedulers.easy import EasyBackfillScheduler
     from repro.workload.archive import SDSC
 
     ns = run_sim(
         [j.copy_static() for j in sdsc_trace_small],
-        EasyBackfillScheduler(),
+        make_scheduler("easy"),
         n_procs=SDSC.n_procs,
     )
     pre = run_sim(
@@ -207,9 +206,9 @@ def test_improves_short_wide_jobs_vs_ns(sdsc_trace_small):
 
 def test_scheduler_validates_arguments():
     with pytest.raises(ValueError):
-        SelectiveSuspensionScheduler(suspension_factor=0.5)
+        make_scheduler("ss", suspension_factor=0.5)
     with pytest.raises(ValueError):
-        SelectiveSuspensionScheduler(preemption_interval=0.0)
+        make_scheduler("ss", preemption_interval=0.0)
 
 
 def test_name_and_describe():

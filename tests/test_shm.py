@@ -38,7 +38,7 @@ from repro.experiments.shm import (
     encode_jobs,
     resolve_jobs,
 )
-from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.workload.job import Job
 from repro.workload.pipeline import (
     LoadScaleStage,
@@ -189,7 +189,7 @@ def test_pipeline_config_round_trips_fingerprint(trace):
 
 
 def test_cell_requires_exactly_one_workload(trace):
-    cfg = EasyBackfillScheduler().config()
+    cfg = make_scheduler("easy").config()
     with pytest.raises(ValueError, match="exactly one"):
         GridCell(key="none", n_procs=N_PROCS, scheduler_config=cfg)
     with WorkloadPlane() as plane:
@@ -236,7 +236,7 @@ def test_warm_cache_is_shared_between_inline_and_ref_cells(trace, tmp_path):
     """Converting a grid to refs must not split the cache namespace: a
     pipeline-less ref hashes to the inline workload hash, so a cache
     written by an inline (or serial) run resumes a ref run for free."""
-    cfg = EasyBackfillScheduler().config()
+    cfg = make_scheduler("easy").config()
     cells = [
         GridCell(key=f"c{i}", jobs=trace, n_procs=N_PROCS, scheduler_config=cfg)
         for i in range(3)
@@ -252,7 +252,7 @@ def test_warm_cache_is_shared_between_inline_and_ref_cells(trace, tmp_path):
 
 
 def test_grid_counters_report_plane_activity(trace):
-    cfg = EasyBackfillScheduler().config()
+    cfg = make_scheduler("easy").config()
     cells = [
         GridCell(key=f"c{i}", jobs=trace, n_procs=N_PROCS, scheduler_config=cfg)
         for i in range(3)
@@ -274,7 +274,7 @@ def test_probe_memo_pins_jobs_lists(trace, tmp_path):
     cells) must all land in the cache under their own fingerprints --
     an unpinned ``id()`` key could alias a recycled id to a stale
     fingerprint and serve the wrong workload's result."""
-    cfg = EasyBackfillScheduler().config()
+    cfg = make_scheduler("easy").config()
     cache = ResultCache(tmp_path / "cache")
     variants = [trace[: 40 + i] for i in range(4)]  # distinct workloads
     cells = [

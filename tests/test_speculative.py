@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.schedulers.easy import EasyBackfillScheduler
-from repro.schedulers.speculative import SpeculativeBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.sim.audit import audit_result
 from repro.workload.estimates import InaccurateEstimates
 from repro.workload.job import JobState, fresh_copies
@@ -15,9 +14,9 @@ from tests.conftest import make_job, run_sim
 
 def test_params_validated():
     with pytest.raises(ValueError):
-        SpeculativeBackfillScheduler(speculation_window=0.0)
+        make_scheduler("speculative", speculation_window=0.0)
     with pytest.raises(ValueError):
-        SpeculativeBackfillScheduler(max_kills=-1)
+        make_scheduler("speculative", max_kills=-1)
 
 
 def winning_scenario():
@@ -33,7 +32,7 @@ def winning_scenario():
 
 def test_speculation_win():
     jobs = winning_scenario()
-    result = run_sim(jobs, SpeculativeBackfillScheduler(), n_procs=8)
+    result = run_sim(jobs, make_scheduler("speculative"), n_procs=8)
     assert jobs[2].first_start_time == pytest.approx(2.0)
     assert jobs[2].finish_time == pytest.approx(302.0)
     assert jobs[2].kill_count == 0
@@ -49,7 +48,7 @@ def test_speculation_loss_kills_and_requeues():
         # actual 1500 > the 900 s test window: the gamble is lost
         make_job(job_id=2, submit=2.0, run=1500.0, procs=3, estimate=4000.0),
     ]
-    result = run_sim(jobs, SpeculativeBackfillScheduler(), n_procs=8)
+    result = run_sim(jobs, make_scheduler("speculative"), n_procs=8)
     assert jobs[2].kill_count >= 1
     assert result.total_kills >= 1
     assert jobs[2].state is JobState.FINISHED
@@ -66,7 +65,7 @@ def test_short_holes_not_gambled():
         # hole is ~98 s < the 900 s window: no test run
         make_job(job_id=2, submit=2.0, run=1000.0, procs=3, estimate=4000.0),
     ]
-    result = run_sim(jobs, SpeculativeBackfillScheduler(), n_procs=8)
+    result = run_sim(jobs, make_scheduler("speculative"), n_procs=8)
     assert result.total_kills == 0
     assert jobs[2].first_start_time >= 100.0
 
@@ -80,7 +79,7 @@ def test_max_kills_bounds_thrash():
         # repeatedly temptable: estimate huge, actual longer than window
         make_job(job_id=3, submit=3.0, run=4000.0, procs=3, estimate=40000.0),
     ]
-    result = run_sim(jobs, SpeculativeBackfillScheduler(max_kills=1), n_procs=8)
+    result = run_sim(jobs, make_scheduler("speculative", max_kills=1), n_procs=8)
     assert jobs[3].kill_count <= 1
     assert jobs[3].state is JobState.FINISHED
 
@@ -90,7 +89,7 @@ def test_audit_with_kills_on_trace_scale():
         "SDSC", n_jobs=300, seed=8, estimate_model=InaccurateEstimates()
     )
     result = run_sim(
-        fresh_copies(jobs), SpeculativeBackfillScheduler(), n_procs=128
+        fresh_copies(jobs), make_scheduler("speculative"), n_procs=128
     )
     audit_result(result)
     assert len(result.jobs) == len(jobs)
@@ -111,8 +110,8 @@ def test_speculation_trade_off_on_real_mix():
     jobs = generate_trace(
         "SDSC", n_jobs=600, seed=8, estimate_model=InaccurateEstimates(badly_fraction=0.5)
     )
-    easy = run_sim(fresh_copies(jobs), EasyBackfillScheduler(), n_procs=128)
-    spec = run_sim(fresh_copies(jobs), SpeculativeBackfillScheduler(), n_procs=128)
+    easy = run_sim(fresh_copies(jobs), make_scheduler("easy"), n_procs=128)
+    spec = run_sim(fresh_copies(jobs), make_scheduler("speculative"), n_procs=128)
 
     # speculations really happened, and thrash stayed bounded
     assert spec.total_kills > 0

@@ -10,6 +10,7 @@ from repro.core.theory import (
     threshold_for_max_suspensions,
     two_task_timeline,
 )
+from repro.schedulers.registry import make_scheduler
 
 
 def test_sf2_zero_suspensions():
@@ -104,7 +105,6 @@ def test_invalid_arguments():
 def test_simulated_ss_matches_theory():
     """Cross-check: the full SS scheduler on two whole-machine jobs
     reproduces the theoretical suspension counts (fine sweep interval)."""
-    from repro.core.selective_suspension import SelectiveSuspensionScheduler
     from tests.conftest import make_job, run_sim
 
     for sf, expected in ((2.0, 0), (1.5, 1)):
@@ -114,8 +114,8 @@ def test_simulated_ss_matches_theory():
         ]
         result = run_sim(
             jobs,
-            SelectiveSuspensionScheduler(
-                suspension_factor=sf, preemption_interval=1.0
+            make_scheduler(
+                "ss", suspension_factor=sf, preemption_interval=1.0
             ),
             n_procs=4,
         )

@@ -20,9 +20,9 @@ from repro.analysis.timeline import (
     occupancy_intervals,
     timeline_csv,
 )
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.experiments.runner import simulate
 from repro.obs import InMemoryRecorder
+from repro.schedulers.registry import make_scheduler
 from repro.workload.synthetic import generate_trace
 
 
@@ -146,7 +146,7 @@ def test_real_trace_conserves_busy_area():
     recorder = InMemoryRecorder()
     result = simulate(
         jobs,
-        SelectiveSuspensionScheduler(suspension_factor=1.5),
+        make_scheduler("ss", suspension_factor=1.5),
         128,
         recorder=recorder,
     )

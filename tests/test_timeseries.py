@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.machine import Cluster
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.metrics.timeseries import StateProbe, StateSample
-from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.sim.driver import SchedulingSimulation
 from repro.workload.job import fresh_copies
 from repro.workload.synthetic import generate_trace
@@ -28,7 +27,7 @@ def test_probe_validates_interval():
 
 def test_probe_collects_samples():
     jobs = [make_job(job_id=i, submit=600.0 * i, run=500.0, procs=2) for i in range(5)]
-    probe, _ = run_probed(jobs, EasyBackfillScheduler(), n_procs=4)
+    probe, _ = run_probed(jobs, make_scheduler("easy"), n_procs=4)
     assert probe.samples
     times = probe.times()
     assert times == sorted(times)
@@ -36,7 +35,7 @@ def test_probe_collects_samples():
 
 def test_probe_decimates_by_interval():
     jobs = [make_job(job_id=i, submit=float(i), run=10.0, procs=1) for i in range(50)]
-    probe, _ = run_probed(jobs, EasyBackfillScheduler(), n_procs=4, interval=20.0)
+    probe, _ = run_probed(jobs, make_scheduler("easy"), n_procs=4, interval=20.0)
     times = probe.times()
     assert all(b - a >= 20.0 - 1e-9 for a, b in zip(times, times[1:], strict=False))
     assert len(times) < 50
@@ -45,7 +44,7 @@ def test_probe_decimates_by_interval():
 def test_sample_consistency():
     jobs = generate_trace("SDSC", n_jobs=200, seed=5)
     probe, _ = run_probed(
-        fresh_copies(jobs), SelectiveSuspensionScheduler(2.0), n_procs=128
+        fresh_copies(jobs), make_scheduler("ss", suspension_factor=2.0), n_procs=128
     )
     for s in probe.samples:
         assert s.busy_procs + s.free_procs == 128
@@ -60,7 +59,7 @@ def test_suspended_jobs_visible_in_series():
     ]
     probe, result = run_probed(
         jobs,
-        SelectiveSuspensionScheduler(suspension_factor=1.5, preemption_interval=10.0),
+        make_scheduler("ss", suspension_factor=1.5, preemption_interval=10.0),
         n_procs=4,
         interval=5.0,
     )
@@ -70,7 +69,7 @@ def test_suspended_jobs_visible_in_series():
 
 def test_series_accessors():
     jobs = [make_job(job_id=i, submit=100.0 * i, run=50.0, procs=2) for i in range(4)]
-    probe, _ = run_probed(jobs, EasyBackfillScheduler(), n_procs=4, interval=30.0)
+    probe, _ = run_probed(jobs, make_scheduler("easy"), n_procs=4, interval=30.0)
     util = probe.series("utilization")
     assert all(0.0 <= u <= 1.0 for u in util)
     assert probe.mean("busy_procs") >= 0.0

@@ -5,13 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.bitset import mask_from_ids
-from repro.core.tss import (
-    CategoryLimits,
-    TunableSelectiveSuspensionScheduler,
-    limits_from_result,
-)
+from repro.core.tss import CategoryLimits, limits_from_result
 from repro.metrics.aggregate import per_category_worst
-from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.workload.categories import classify_sixteen_way
 from repro.workload.job import JobState
 from tests.conftest import make_job, run_sim
@@ -31,8 +27,8 @@ def test_limit_protects_high_xfactor_victim():
             classify_sixteen_way(blocker): 0.5,  # blocker always protected
         }
     )
-    sched = TunableSelectiveSuspensionScheduler(
-        suspension_factor=1.0, limits=limits, preemption_interval=10.0
+    sched = make_scheduler(
+        "tss", suspension_factor=1.0, limits=limits, preemption_interval=10.0
     )
     run_sim([blocker, victim, preemptor], sched, n_procs=4)
     # victim started at 4000 with xfactor ~11 > limit 2 => protected
@@ -46,8 +42,8 @@ def test_unprotected_victim_still_suspended():
     victim = make_job(job_id=0, submit=0.0, run=4000.0, procs=4)
     preemptor = make_job(job_id=1, submit=1.0, run=10.0, procs=4)
     limits = CategoryLimits(table={classify_sixteen_way(victim): 100.0})
-    sched = TunableSelectiveSuspensionScheduler(
-        suspension_factor=1.5, limits=limits, preemption_interval=10.0
+    sched = make_scheduler(
+        "tss", suspension_factor=1.5, limits=limits, preemption_interval=10.0
     )
     run_sim([victim, preemptor], sched, n_procs=4)
     assert victim.suspension_count == 1
@@ -118,30 +114,29 @@ def test_tss_drains_real_mix(sdsc_trace_small):
     from repro.workload.archive import SDSC
 
     jobs = [j.copy_static() for j in sdsc_trace_small]
-    sched = TunableSelectiveSuspensionScheduler(suspension_factor=2.0)
+    sched = make_scheduler("tss", suspension_factor=2.0)
     result = run_sim(jobs, sched, n_procs=SDSC.n_procs)
     assert all(j.state is JobState.FINISHED for j in result.jobs)
 
 
 def test_tss_suspends_no_more_than_ss(sdsc_trace_small):
     """Limits can only remove preemption opportunities."""
-    from repro.core.selective_suspension import SelectiveSuspensionScheduler
     from repro.workload.archive import SDSC
 
     plain = run_sim(
         [j.copy_static() for j in sdsc_trace_small],
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=SDSC.n_procs,
     )
     ns = run_sim(
         [j.copy_static() for j in sdsc_trace_small],
-        EasyBackfillScheduler(),
+        make_scheduler("easy"),
         n_procs=SDSC.n_procs,
     )
     tuned = run_sim(
         [j.copy_static() for j in sdsc_trace_small],
-        TunableSelectiveSuspensionScheduler(
-            suspension_factor=2.0, limits=limits_from_result(ns)
+        make_scheduler(
+            "tss", suspension_factor=2.0, limits=limits_from_result(ns)
         ),
         n_procs=SDSC.n_procs,
     )
@@ -151,23 +146,22 @@ def test_tss_suspends_no_more_than_ss(sdsc_trace_small):
 def test_tss_calibrated_improves_some_worst_case(sdsc_trace_small):
     """Section IV-E: TSS improves worst-case metrics for several
     categories without (much) hurting the rest."""
-    from repro.core.selective_suspension import SelectiveSuspensionScheduler
     from repro.workload.archive import SDSC
 
     ns = run_sim(
         [j.copy_static() for j in sdsc_trace_small],
-        EasyBackfillScheduler(),
+        make_scheduler("easy"),
         n_procs=SDSC.n_procs,
     )
     plain = run_sim(
         [j.copy_static() for j in sdsc_trace_small],
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
+        make_scheduler("ss", suspension_factor=2.0),
         n_procs=SDSC.n_procs,
     )
     tuned = run_sim(
         [j.copy_static() for j in sdsc_trace_small],
-        TunableSelectiveSuspensionScheduler(
-            suspension_factor=2.0, limits=limits_from_result(ns)
+        make_scheduler(
+            "tss", suspension_factor=2.0, limits=limits_from_result(ns)
         ),
         n_procs=SDSC.n_procs,
     )
@@ -183,6 +177,6 @@ def test_tss_calibrated_improves_some_worst_case(sdsc_trace_small):
 
 
 def test_tss_name_reflects_mode():
-    assert "online" in TunableSelectiveSuspensionScheduler().name
-    tuned = TunableSelectiveSuspensionScheduler(limits=CategoryLimits(table={}))
+    assert "online" in make_scheduler("tss").name
+    tuned = make_scheduler("tss", limits=CategoryLimits(table={}))
     assert "calibrated" in tuned.name

@@ -22,7 +22,7 @@ from repro.experiments.parallel import (
     simulate_cell,
 )
 from repro.metrics.aggregate import per_category_stats
-from repro.schedulers import EasyBackfillScheduler
+from repro.schedulers.registry import make_scheduler
 from repro.workload.job import Job
 from repro.workload.synthetic import generate_trace
 
@@ -42,7 +42,7 @@ def trace():
 
 @pytest.fixture(scope="module")
 def config():
-    return EasyBackfillScheduler().config()
+    return make_scheduler("easy").config()
 
 
 # ----------------------------------------------------------------------

@@ -227,9 +227,9 @@ def dispatch_report() -> dict[str, Any]:
     gates.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.core.selective_suspension import SelectiveSuspensionScheduler
     from repro.experiments.parallel import GridCell
     from repro.experiments.shm import WorkloadPlane, resolve_jobs
+    from repro.schedulers.registry import make_scheduler
     from repro.workload.job import Job
 
     jobs = [
@@ -245,7 +245,7 @@ def dispatch_report() -> dict[str, Any]:
         for i in range(DISPATCH_JOBS)
     ]
     configs = [
-        SelectiveSuspensionScheduler(1.0 + 0.25 * k).config()
+        make_scheduler("ss", suspension_factor=1.0 + 0.25 * k).config()
         for k in range(DISPATCH_CELLS)
     ]
 
@@ -349,18 +349,17 @@ def trace_fingerprints() -> dict[str, str]:
     which a perf PR must never do.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.core.immediate_service import ImmediateServiceScheduler
-    from repro.core.selective_suspension import SelectiveSuspensionScheduler
     from repro.sim.driver import SchedulingSimulation
     from repro.cluster.machine import Cluster
     from repro.schedulers.base import Scheduler
+    from repro.schedulers.registry import make_scheduler
     from repro.workload.load import scale_load
     from repro.workload.synthetic import generate_trace
 
     def run_signature(jobs: list[Any], scheduler: Scheduler | None = None) -> str:
         driver = SchedulingSimulation(
             cluster=Cluster(128),
-            scheduler=scheduler or SelectiveSuspensionScheduler(suspension_factor=2.0),
+            scheduler=scheduler or make_scheduler("ss", suspension_factor=2.0),
         )
         result = driver.run(jobs)
         sig = [
@@ -376,7 +375,7 @@ def trace_fingerprints() -> dict[str, str]:
             scale_load(generate_trace("SDSC", n_jobs=700, seed=5), 1.8)
         ),
         "is_sdsc400": run_signature(
-            generate_trace("SDSC", n_jobs=400, seed=3), ImmediateServiceScheduler()
+            generate_trace("SDSC", n_jobs=400, seed=3), make_scheduler("is")
         ),
         "ss_load2_sdsc400": run_signature(
             scale_load(generate_trace("SDSC", n_jobs=400, seed=3), 2.0)
