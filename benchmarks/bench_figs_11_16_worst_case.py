@@ -17,7 +17,7 @@ from repro.experiments import paper
 @pytest.mark.parametrize("trace", ["CTC", "SDSC"])
 def test_figs_11_16_worst_case(benchmark, trace):
     out = run_once(
-        benchmark, paper.ss_worst_case, trace=trace, n_jobs=N_JOBS, seed=SEED
+        benchmark, paper.run, "figs-11-16", trace=trace, n_jobs=N_JOBS, seed=SEED
     )
     print()
     print(out.report)

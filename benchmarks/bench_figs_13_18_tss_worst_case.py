@@ -20,7 +20,7 @@ from repro.experiments import paper
 @pytest.mark.parametrize("trace", ["CTC", "SDSC"])
 def test_figs_13_18_tss_worst_case(benchmark, trace):
     out = run_once(
-        benchmark, paper.tss_worst_case, trace=trace, n_jobs=N_JOBS, seed=SEED
+        benchmark, paper.run, "figs-13-18", trace=trace, n_jobs=N_JOBS, seed=SEED
     )
     print()
     print(out.report)

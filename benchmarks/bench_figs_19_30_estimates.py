@@ -28,7 +28,8 @@ N_JOBS = min(N_JOBS, 1200)
 def test_figs_19_30_estimate_impact(benchmark, trace):
     out = run_once(
         benchmark,
-        paper.estimate_impact,
+        paper.run,
+        "figs-19-30",
         trace=trace,
         n_jobs=N_JOBS,
         seed=SEED,

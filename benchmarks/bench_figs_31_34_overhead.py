@@ -25,7 +25,7 @@ N_JOBS = min(N_JOBS, 1200)
 @pytest.mark.parametrize("trace", ["CTC", "SDSC"])
 def test_figs_31_34_overhead_impact(benchmark, trace):
     out = run_once(
-        benchmark, paper.overhead_impact, trace=trace, n_jobs=N_JOBS, seed=SEED
+        benchmark, paper.run, "figs-31-34", trace=trace, n_jobs=N_JOBS, seed=SEED
     )
     print()
     print(out.report)

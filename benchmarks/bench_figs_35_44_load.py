@@ -35,7 +35,8 @@ LOADS = {
 def test_figs_35_44_load_variation(benchmark, trace):
     out = run_once(
         benchmark,
-        paper.load_variation,
+        paper.run,
+        "figs-35-44",
         trace=trace,
         loads=LOADS[trace],
         n_jobs=LOAD_N_JOBS,

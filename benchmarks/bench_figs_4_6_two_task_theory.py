@@ -15,7 +15,7 @@ from repro.experiments import paper
 
 
 def test_figs_4_6_two_task_patterns(benchmark):
-    out = run_once(benchmark, paper.two_task_figures, (1.0, 1.5, 2.0))
+    out = run_once(benchmark, paper.run, "figs-4-6")
     print()
     print(out.report)
     # Fig 6: SF = 2 -> no suspension, strict serial execution

@@ -21,7 +21,7 @@ from repro.experiments import paper
 @pytest.mark.parametrize("trace", ["CTC", "SDSC"])
 def test_figs_7_10_average_metrics(benchmark, trace):
     out = run_once(
-        benchmark, paper.ss_average_metrics, trace=trace, n_jobs=N_JOBS, seed=SEED
+        benchmark, paper.run, "figs-7-10", trace=trace, n_jobs=N_JOBS, seed=SEED
     )
     print()
     print(out.report)

@@ -23,7 +23,7 @@ REFERENCE = {"CTC": PAPER_TABLE_2_CTC_SHARES, "SDSC": PAPER_TABLE_3_SDSC_SHARES}
 @pytest.mark.parametrize("trace", ["CTC", "SDSC"])
 def test_tables_2_3_distribution(benchmark, trace):
     out = run_once(
-        benchmark, paper.job_distribution, trace=trace, n_jobs=N_JOBS, seed=SEED
+        benchmark, paper.run, "distribution", trace=trace, n_jobs=N_JOBS, seed=SEED
     )
     print()
     print(out.report)
@@ -39,7 +39,7 @@ def test_tables_2_3_distribution(benchmark, trace):
 def test_table_7_ctc_four_way(benchmark):
     """Table VII's published CTC 4-way split: 44/30/13/13 percent."""
     out = run_once(
-        benchmark, paper.job_distribution, trace="CTC", n_jobs=N_JOBS, seed=SEED
+        benchmark, paper.run, "distribution", trace="CTC", n_jobs=N_JOBS, seed=SEED
     )
     four = out.data["shares4"]
     expected = {("S", "N"): 0.44, ("S", "W"): 0.30, ("L", "N"): 0.13, ("L", "W"): 0.13}

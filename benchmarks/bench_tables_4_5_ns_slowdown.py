@@ -27,7 +27,7 @@ REFERENCE = {
 @pytest.mark.parametrize("trace", ["CTC", "SDSC"])
 def test_tables_4_5_ns_slowdown(benchmark, trace):
     out = run_once(
-        benchmark, paper.ns_baseline_slowdowns, trace=trace, n_jobs=N_JOBS, seed=SEED
+        benchmark, paper.run, "tables-4-5", trace=trace, n_jobs=N_JOBS, seed=SEED
     )
     print()
     print(out.report)

@@ -46,9 +46,7 @@ Examples
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
-from typing import Callable
 
 from repro.analysis.report import experiment_report, scheme_comparison_report
 from repro.core.overhead import DiskSwapOverheadModel
@@ -65,21 +63,6 @@ from repro.workload.job import Job
 from repro.workload.load import scale_load
 from repro.workload.swf import jobs_from_swf_records, read_swf
 from repro.workload.synthetic import generate_trace
-
-#: experiment id -> (function, needs-trace)
-EXPERIMENTS: dict[str, tuple[Callable[..., paper.ExperimentOutput], bool]] = {
-    "distribution": (paper.job_distribution, True),
-    "tables-4-5": (paper.ns_baseline_slowdowns, True),
-    "figs-4-6": (paper.two_task_figures, False),
-    "figs-7-10": (paper.ss_average_metrics, True),
-    "figs-11-16": (paper.ss_worst_case, True),
-    "figs-13-18": (paper.tss_worst_case, True),
-    "figs-19-30": (paper.estimate_impact, True),
-    "figs-31-34": (paper.overhead_impact, True),
-    "figs-35-44": (paper.load_variation, True),
-    "hybrids": (paper.hybrid_comparison, True),
-}
-
 
 def _build_scheduler(args: argparse.Namespace) -> Scheduler:
     takes_sf = "suspension_factor" in scheme_params(args.scheduler)
@@ -177,15 +160,6 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
         metavar="N",
         help="retry a crashed or hung cell up to N times with exponential "
         "backoff before giving up (default: 0)",
-    )
-    p.add_argument(
-        "--shm",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="publish each distinct workload once to a shared-memory "
-        "segment so grid cells pickle a ~200-byte reference instead of "
-        "the whole job list (default: on whenever --workers uses a pool; "
-        "--no-shm forces the inline path)",
     )
 
 
@@ -464,7 +438,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             trace_dir=args.trace_dir,
             policy=_policy_from_args(args),
             counters=counters,
-            shm=args.shm,
         )
         if counters:
             print(format_grid_counters(counters), file=sys.stderr)
@@ -488,33 +461,21 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "experiment":
         if args.list or not args.exp_id:
             print("available experiments:")
-            for key in EXPERIMENTS:
+            for key in paper.EXPERIMENTS:
                 print(f"  {key}")
             return 0 if args.list else 2
-        if args.exp_id not in EXPERIMENTS:
+        if args.exp_id not in paper.EXPERIMENTS:
             print(f"unknown experiment {args.exp_id!r}; try --list", file=sys.stderr)
             return 2
-        fn, needs_trace = EXPERIMENTS[args.exp_id]
-        if needs_trace:
-            kwargs: dict[str, object] = {
-                "trace": args.trace,
-                "n_jobs": args.jobs,
-                "seed": args.seed,
-            }
-            # grid-shaped experiments accept workers/cache; table-only
-            # ones (single simulation) do not -- pass only what fits
-            params = inspect.signature(fn).parameters
-            if "workers" in params:
-                kwargs["workers"] = args.workers
-            if "cache" in params:
-                kwargs["cache"] = _cache_from_args(args)
-            if "policy" in params:
-                kwargs["policy"] = _policy_from_args(args)
-            if "shm" in params:
-                kwargs["shm"] = args.shm
-            out = fn(**kwargs)
-        else:
-            out = fn()
+        out = paper.run(
+            args.exp_id,
+            args.trace,
+            args.jobs,
+            args.seed,
+            workers=args.workers,
+            cache=_cache_from_args(args),
+            policy=_policy_from_args(args),
+        )
         print(out.report)
         return 0
 
@@ -612,7 +573,6 @@ def _dispatch_workload(args: argparse.Namespace) -> int:
             counters=counters,
             provenance={"pipeline": pipeline.fingerprint(), "source": "swf"},
             trace_dir=args.trace_dir,
-            shm=args.shm,
         )
         if counters:
             print(format_grid_counters(counters), file=sys.stderr)

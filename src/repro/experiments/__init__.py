@@ -18,8 +18,9 @@
   shared-memory struct-of-arrays segment and grid cells carry a
   :class:`JobsRef` instead of the list, so dispatch pickles stay tiny
   and workers decode each workload once per process.
-* :mod:`repro.experiments.paper` -- one entry per paper table/figure;
-  each returns the rows/series the paper plots, as plain data.
+* :mod:`repro.experiments.paper` -- the experiment table: one record
+  per paper table/figure group, all run by :func:`~repro.experiments.paper.run`,
+  which returns the rows/series the paper plots, as plain data.
 """
 
 from repro.experiments.cache import (

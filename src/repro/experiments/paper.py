@@ -1,47 +1,46 @@
-"""One function per paper experiment.
+"""The paper's experiments as one declarative table.
 
-Each function simulates what the corresponding table/figure needs and
-returns an :class:`ExperimentOutput`: plain data (dicts keyed by scheme
-and category) plus a rendered ASCII report.  The benchmark harness calls
-these and prints the report, so regenerating any paper artefact is::
+Every regenerated table/figure group is one :class:`Experiment` record
+in :data:`EXPERIMENTS`, keyed by the id ``repro-sched experiment <id>``
+takes.  A record is data: the workload recipe (estimate model, load
+axis; the preset is the run's ``trace``), the scheme entries, the
+statistic and the estimate-quality split.  One runner, :func:`run`,
+executes any record and returns an :class:`ExperimentOutput`: plain data
+(dicts keyed by scheme and category) plus a rendered ASCII report::
 
     from repro.experiments import paper
-    print(paper.ss_average_metrics("CTC").report)
+    print(paper.run("figs-7-10", "CTC").report)
 
-Experiment ids follow DESIGN.md section 4.  Default sizes (2500 jobs)
-keep a full figure regeneration in seconds-to-minutes on a laptop while
-leaving category populations large enough for stable averages; pass
-``n_jobs`` to scale up.
+Keyword overrides replace record fields for one run, e.g. a shorter
+load axis: ``paper.run("figs-35-44", "SDSC", loads=(1.0, 1.2))``.
+
+Every simulated figure runs through the same scheme grid (:func:`_grid`):
+NS calibration runs first (calibrated TSS limits depend on them), then
+every (load, scheme) cell in one :func:`~repro.experiments.parallel.run_grid`
+fan-out, so ``workers``/``cache``/``policy`` apply to all of them alike.
+The three records without a scheme grid -- the job distribution, the NS
+baseline table and the two-task theory figures -- name a ``tabulate``
+function instead and always run serially and uncached.
+
+Default sizes (2500 jobs) keep a full figure regeneration in
+seconds-to-minutes on a laptop while leaving category populations large
+enough for stable averages; pass ``n_jobs`` to scale up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Mapping
 
 from repro.analysis.report import scheme_comparison_report
 from repro.analysis.tables import category_grid_table, series_table
 from repro.core.overhead import DiskSwapOverheadModel
 from repro.core.theory import two_task_timeline
+from repro.core.tss import limits_from_result
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import (
-    GridCell,
-    GridPolicy,
-    compare_schemes_parallel,
-    run_grid,
-)
-from repro.experiments.runner import (
-    hybrid_schemes,
-    simulate,
-    standard_schemes,
-    tuned_schemes,
-)
-from repro.experiments.shm import JobsRef, WorkloadPlane
-from repro.metrics.aggregate import (
-    category_shares,
-    overall_stats,
-    per_category_stats,
-)
+from repro.experiments.parallel import GridCell, GridPolicy, run_grid
+from repro.experiments.runner import simulate
+from repro.metrics.aggregate import category_shares, overall_stats, per_category_stats
 from repro.schedulers.registry import make_scheduler
 from repro.sim.driver import SimulationResult
 from repro.workload.archive import get_preset
@@ -49,13 +48,15 @@ from repro.workload.categories import classify_four_way
 from repro.workload.estimates import EstimateModel, InaccurateEstimates
 from repro.workload.job import Job
 from repro.workload.load import scale_load
-from repro.workload.pipeline import LoadScaleStage, WorkloadPipeline
 from repro.workload.synthetic import generate_trace
 
 #: Default trace size for experiment regeneration.
 DEFAULT_N_JOBS = 2500
 #: Default workload seed (any fixed value; 7 matches EXPERIMENTS.md).
 DEFAULT_SEED = 7
+
+#: the metrics every scheme-grid report shows, in block order
+METRICS = ("slowdown", "turnaround")
 
 
 @dataclass
@@ -65,24 +66,128 @@ class ExperimentOutput:
     exp_id: str
     title: str
     trace: str
-    #: experiment-specific payload; see each function's docstring
+    #: experiment-specific payload, described by the builder that renders
+    #: it (``_scheme_report``, ``_load_report`` or the record's ``tabulate``)
     data: dict[str, Any]
     report: str
     #: the raw simulation results, for further slicing
     results: dict[str, SimulationResult] = field(default_factory=dict)
 
 
-def _trace(
-    trace: str, n_jobs: int, seed: int, estimates: EstimateModel | None = None
-) -> list[Job]:
-    return generate_trace(trace, n_jobs=n_jobs, seed=seed, estimate_model=estimates)
+@dataclass(frozen=True)
+class Scheme:
+    """One scheme entry of an experiment grid: a column of its report."""
+
+    #: report column and ``ExperimentOutput.results`` key
+    label: str
+    #: scheme-table id (see :func:`~repro.schedulers.registry.make_scheduler`)
+    scheme: str
+    params: Mapping[str, object] = field(default_factory=dict)
+    #: TSS category limits calibrated from an NS run over the same workload
+    calibrated: bool = False
+    #: price suspensions with the disk-swap overhead model (section V-A)
+    overhead: bool = False
 
 
-def _mean_grids(
-    results: dict[str, SimulationResult],
+#: what a ``tabulate`` function returns: data, report, results
+Tabulation = tuple[dict[str, Any], str, dict[str, SimulationResult]]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One paper table/figure group: what to simulate and how to report it."""
+
+    #: the CLI id, also ``ExperimentOutput.exp_id``
+    id: str
+    title: str
+    #: report block title, formatted with ``trace``, ``metric``,
+    #: ``quality`` (``"all"``/``"well"``/``"badly"``) and ``fig``
+    heading: str = ""
+    #: preset -> the figure label each report block prints (one per
+    #: metric); presets the paper does not plot borrow SDSC's labels
+    figures: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    #: presets the paper reports; empty for a workload-free record
+    traces: tuple[str, ...] = ("CTC", "SDSC")
+    #: workload recipe: estimate model (``None``: accurate) and load axis
+    #: (``None``: the trace as generated; otherwise one workload per factor)
+    estimates: EstimateModel | None = None
+    loads: tuple[float, ...] | None = None
+    schemes: tuple[Scheme, ...] = ()
+    #: ``"mean"`` or ``"worst"`` per category
+    statistic: str = "mean"
+    #: estimate-quality split; ``(None,)`` reports all jobs only
+    qualities: tuple[str | None, ...] = (None,)
+    #: report builder for records without a scheme grid
+    tabulate: Callable[[Experiment, str, list[Job]], Tabulation] | None = None
+
+    def figure(self, trace: str, block: int = 0) -> str:
+        """The figure label report block *block* prints for *trace*."""
+        labels = self.figures.get(trace) or self.figures.get("SDSC")
+        return labels[block] if labels else ""
+
+
+# ----------------------------------------------------------------------
+# the scheme grid: NS calibrations, then every (load, scheme) cell
+# ----------------------------------------------------------------------
+def _cell_key(label: str, load: float | None) -> str:
+    return label if load is None else f"{label}@{load:g}"
+
+
+def _grid(
+    exp: Experiment,
+    trace: str,
+    jobs: list[Job],
+    workers: int | None,
+    cache: ResultCache | None,
+    policy: GridPolicy | None,
+) -> dict[str, SimulationResult]:
+    """Simulate every (load, scheme) cell of *exp*; results by cell key."""
+    n_procs = get_preset(trace).n_procs
+    overhead_model = DiskSwapOverheadModel()
+    if exp.loads is None:
+        workloads: dict[float | None, list[Job]] = {None: jobs}
+    else:
+        workloads = {load: scale_load(jobs, load) for load in exp.loads}
+
+    def cell(
+        key: str, load: float | None, overhead: bool, config: Mapping[str, object]
+    ) -> GridCell:
+        return GridCell(
+            key=key,
+            jobs=workloads[load],
+            n_procs=n_procs,
+            scheduler_config=config,
+            overhead_model=overhead_model if overhead else None,
+        )
+
+    def ns_key(load: float | None, overhead: bool) -> str:
+        return _cell_key("NS+OH" if overhead else "NS", load)
+
+    # Phase 1: one NS run per (load, overhead) that a calibrated scheme needs.
+    ns_config = make_scheduler("easy").config()
+    calibrations = sorted({s.overhead for s in exp.schemes if s.calibrated})
+    baseline_cells = [
+        cell(ns_key(load, oh), load, oh, ns_config) for load in workloads for oh in calibrations
+    ]
+    baselines = run_grid(baseline_cells, workers=workers, cache=cache, policy=policy).results
+
+    # Phase 2: every (load, scheme) cell in one fan-out.
+    cells: list[GridCell] = []
+    for load in workloads:
+        for s in exp.schemes:
+            params = dict(s.params)
+            if s.calibrated:
+                params["limits"] = limits_from_result(baselines[ns_key(load, s.overhead)])
+            config = make_scheduler(s.scheme, **params).config()
+            cells.append(cell(_cell_key(s.label, load), load, s.overhead, config))
+    return run_grid(cells, workers=workers, cache=cache, policy=policy).results
+
+
+def _category_grids(
+    results: Mapping[str, SimulationResult],
     metric: str,
-    statistic: str = "mean",
-    quality: str | None = None,
+    statistic: str,
+    quality: str | None,
 ) -> dict[str, dict[tuple[str, str], float]]:
     out: dict[str, dict[tuple[str, str], float]] = {}
     for label, r in results.items():
@@ -91,19 +196,89 @@ def _mean_grids(
     return out
 
 
-# ----------------------------------------------------------------------
-# Tables II / III / VII / VIII -- job distribution
-# ----------------------------------------------------------------------
-def job_distribution(
-    trace: str = "CTC", n_jobs: int = DEFAULT_N_JOBS, seed: int = DEFAULT_SEED
-) -> ExperimentOutput:
-    """Tables II/III (16-way) and VII/VIII (4-way) category shares.
+def _scheme_report(
+    exp: Experiment, trace: str, results: dict[str, SimulationResult]
+) -> tuple[dict[str, Any], str]:
+    """One comparison block per (quality, metric); data keyed the same way.
 
-    ``data`` keys: ``"shares16"``, ``"shares4"`` (category -> fraction).
+    ``data``: metric -> scheme -> category -> statistic, nested under
+    ``"all"``/``"well"``/``"badly"`` when the record splits by quality.
     """
-    jobs = _trace(trace, n_jobs, seed)
-    shares16 = category_shares(jobs_finished_ok(jobs))
-    shares4 = category_shares(jobs_finished_ok(jobs), classify_four_way)
+    data: dict[str, Any] = {}
+    blocks: list[str] = []
+    for quality in exp.qualities:
+        qkey = quality or "all"
+        data[qkey] = {
+            m: _category_grids(results, m, exp.statistic, quality) for m in METRICS
+        }
+        for i, metric in enumerate(METRICS):
+            title = exp.heading.format(
+                trace=trace, metric=metric, quality=qkey, fig=exp.figure(trace, i)
+            )
+            blocks.append(
+                scheme_comparison_report(
+                    title, results, metric=metric, statistic=exp.statistic, quality=quality
+                )
+            )
+    if exp.qualities == (None,):
+        data = data["all"]
+    return data, "\n\n".join(blocks)
+
+
+def _load_report(
+    exp: Experiment, trace: str, results: dict[str, SimulationResult]
+) -> tuple[dict[str, Any], str]:
+    """Utilisation and per-4-way-category series over the load axis.
+
+    ``data``: ``"loads"``, ``"utilization"`` (scheme -> [..]),
+    ``"slowdown"``/``"turnaround"`` (scheme -> category -> [..]).
+    """
+    assert exp.loads is not None
+    loads = list(exp.loads)
+    labels = [s.label for s in exp.schemes]
+    utilization: dict[str, list[float]] = {s: [] for s in labels}
+    series: dict[str, dict[str, dict[tuple[str, str], list[float]]]] = {
+        m: {s: {} for s in labels} for m in METRICS
+    }
+    for load in loads:
+        for label in labels:
+            r = results[_cell_key(label, load)]
+            utilization[label].append(r.steady_utilization)
+            stats = per_category_stats(r.jobs, classifier=classify_four_way)
+            for cat, s in stats.items():
+                for m in METRICS:
+                    value = getattr(getattr(s, m), exp.statistic)
+                    series[m][label].setdefault(cat, []).append(value)
+    sd = series["slowdown"]
+    blocks = [
+        series_table(
+            "load",
+            loads,
+            {s: [100 * u for u in utilization[s]] for s in labels},
+            title=exp.heading.format(trace=trace, fig=exp.figure(trace)),
+            precision=1,
+        )
+    ]
+    for cat in (("S", "N"), ("S", "W"), ("L", "N"), ("L", "W")):
+        blocks.append(
+            series_table(
+                "load",
+                loads,
+                {s: sd[s].get(cat, [float("nan")] * len(loads)) for s in labels},
+                title=f"{trace}: mean slowdown vs load, category {cat[0]} {cat[1]}",
+            )
+        )
+    data = {"loads": loads, "utilization": utilization, **series}
+    return data, "\n\n".join(blocks)
+
+
+# ----------------------------------------------------------------------
+# records without a scheme grid
+# ----------------------------------------------------------------------
+def _job_distribution(exp: Experiment, trace: str, jobs: list[Job]) -> Tabulation:
+    """``data``: ``"shares16"``, ``"shares4"`` (category -> fraction)."""
+    shares16 = category_shares(jobs)
+    shares4 = category_shares(jobs, classify_four_way)
     report = "\n\n".join(
         [
             category_grid_table(
@@ -119,72 +294,34 @@ def job_distribution(
             ),
         ]
     )
-    return ExperimentOutput(
-        exp_id="tables-2-3-7-8",
-        title="Job distribution by category",
-        trace=trace,
-        data={"shares16": shares16, "shares4": shares4},
-        report=report,
-    )
+    return {"shares16": shares16, "shares4": shares4}, report, {}
 
 
-def jobs_finished_ok(jobs: list[Job]) -> list[Job]:
-    """Classification helpers need finished-or-fresh jobs; shares only
-    use static fields, so fresh jobs pass straight through."""
-    return jobs
-
-
-# ----------------------------------------------------------------------
-# Tables IV / V -- NS per-category slowdowns
-# ----------------------------------------------------------------------
-def ns_baseline_slowdowns(
-    trace: str = "CTC", n_jobs: int = DEFAULT_N_JOBS, seed: int = DEFAULT_SEED
-) -> ExperimentOutput:
-    """Tables IV/V: average slowdown per category under NS backfilling.
-
-    ``data`` keys: ``"grid"`` (category -> mean slowdown), ``"overall"``.
-    """
-    preset = get_preset(trace)
-    jobs = _trace(trace, n_jobs, seed)
-    result = simulate(jobs, make_scheduler("easy"), preset.n_procs)
-    stats = per_category_stats(result.jobs)
-    grid = {c: s.slowdown.mean for c, s in stats.items()}
+def _ns_slowdowns(exp: Experiment, trace: str, jobs: list[Job]) -> Tabulation:
+    """``data``: ``"grid"`` (category -> mean slowdown), ``"overall"``."""
+    result = simulate(jobs, make_scheduler("easy"), get_preset(trace).n_procs)
+    grid = {c: s.slowdown.mean for c, s in per_category_stats(result.jobs).items()}
     overall = overall_stats(result.jobs).slowdown.mean
     report = "\n".join(
         [
             category_grid_table(
-                grid,
-                title=(
-                    f"{trace}: mean bounded slowdown, NS scheme "
-                    f"(Table {'IV' if trace == 'CTC' else 'V'})"
-                ),
+                grid, title=exp.heading.format(trace=trace, fig=exp.figure(trace))
             ),
             f"overall: {overall:.2f}   utilization: {result.utilization:.3f}",
         ]
     )
-    return ExperimentOutput(
-        exp_id="tables-4-5",
-        title="NS per-category average slowdown",
-        trace=trace,
-        data={"grid": grid, "overall": overall},
-        report=report,
-        results={"No Suspension": result},
-    )
+    return {"grid": grid, "overall": overall}, report, {"No Suspension": result}
 
 
-# ----------------------------------------------------------------------
-# Figs 4-6 -- two-task alternation
-# ----------------------------------------------------------------------
-def two_task_figures(
-    suspension_factors: tuple[float, ...] = (1.0, 1.5, 2.0),
-) -> ExperimentOutput:
-    """Figs 4-6: execution pattern of two equal tasks vs SF.
+#: suspension factors the two-task figures compare
+TWO_TASK_SUSPENSION_FACTORS = (1.0, 1.5, 2.0)
 
-    ``data``: SF -> {semantics -> (suspension count, segment list)}.
-    """
+
+def _two_task(exp: Experiment, trace: str, jobs: list[Job]) -> Tabulation:
+    """``data``: SF -> {semantics -> (suspension count, segment list)}."""
     data: dict[str, Any] = {}
     lines: list[str] = ["Two equal whole-machine tasks, L = 1 (Figs 4-6)"]
-    for sf in suspension_factors:
+    for sf in TWO_TASK_SUSPENSION_FACTORS:
         per_sem = {}
         for sem in ("frozen", "age"):
             # Fig 4's SF=1 pattern alternates at the sweep granularity;
@@ -202,530 +339,153 @@ def two_task_figures(
                 f"SF={sf:<4g} {sem:<6s} suspensions={outcome.suspensions:<3d} {pattern}{more}"
             )
         data[f"SF={sf:g}"] = per_sem
-    return ExperimentOutput(
-        exp_id="figs-4-6",
-        title="Two-task alternation vs suspension factor",
-        trace="-",
-        data=data,
-        report="\n".join(lines),
+    return data, "\n".join(lines), {}
+
+
+# ----------------------------------------------------------------------
+# the table
+# ----------------------------------------------------------------------
+NS = Scheme("No Suspension", "easy")
+IS = Scheme("IS", "is")
+
+
+def _ss(sf: float, label: str | None = None) -> Scheme:
+    return Scheme(label or f"SF = {sf:g}", "ss", {"suspension_factor": sf})
+
+
+def _tss(sf: float, label: str | None = None, overhead: bool = False) -> Scheme:
+    return Scheme(
+        label or f"SF = {sf:g} Tuned",
+        "tss",
+        {"suspension_factor": sf},
+        calibrated=True,
+        overhead=overhead,
     )
 
 
-# ----------------------------------------------------------------------
-# Figs 7-10 -- SS average slowdown / turnaround
-# ----------------------------------------------------------------------
-def ss_average_metrics(
+EXPERIMENTS: dict[str, Experiment] = {
+    e.id: e
+    for e in (
+        Experiment(
+            id="distribution",
+            title="Job distribution by category",
+            tabulate=_job_distribution,
+        ),
+        Experiment(
+            id="tables-4-5",
+            title="NS per-category average slowdown",
+            heading="{trace}: mean bounded slowdown, NS scheme (Table {fig})",
+            figures={"CTC": ("IV",), "SDSC": ("V",)},
+            tabulate=_ns_slowdowns,
+        ),
+        Experiment(
+            id="figs-4-6",
+            title="Two-task alternation vs suspension factor",
+            traces=(),
+            tabulate=_two_task,
+        ),
+        Experiment(
+            id="figs-7-10",
+            title="SS average metrics vs NS and IS",
+            heading="{trace}: average {metric}, SS scheme (Fig {fig})",
+            figures={"CTC": ("7", "8"), "SDSC": ("9", "10")},
+            schemes=(_ss(1.5), _ss(2.0), _ss(5.0), NS, IS),
+        ),
+        Experiment(
+            id="figs-11-16",
+            title="SS worst-case metrics",
+            heading="{trace}: worst-case {metric} (Figs {fig})",
+            figures={"CTC": ("11/12", "11/12"), "SDSC": ("15/16", "15/16")},
+            schemes=(_ss(2.0), NS, IS),
+            statistic="worst",
+        ),
+        Experiment(
+            id="figs-13-18",
+            title="TSS worst-case metrics",
+            heading="{trace}: worst-case {metric} with TSS (Figs {fig})",
+            figures={"CTC": ("13/14", "13/14"), "SDSC": ("17/18", "17/18")},
+            schemes=(_ss(2.0), _tss(2.0), NS, IS),
+            statistic="worst",
+        ),
+        Experiment(
+            id="figs-19-30",
+            title="Impact of user estimate inaccuracy",
+            heading="{trace}: average {metric}, inaccurate estimates "
+            "({quality} jobs; Figs 19-30)",
+            estimates=InaccurateEstimates(badly_fraction=0.4),
+            schemes=(_tss(1.5), _tss(2.0), _tss(5.0), NS, IS),
+            qualities=(None, "well", "badly"),
+        ),
+        Experiment(
+            id="figs-31-34",
+            title="Suspension overhead impact",
+            heading="{trace}: average {metric} with suspension overhead (Figs {fig})",
+            figures={"CTC": ("31/32", "31/32"), "SDSC": ("33/34", "33/34")},
+            estimates=InaccurateEstimates(),
+            schemes=(
+                _tss(2.0, "SF = 2"),
+                _tss(2.0, "SF = 2 OH", overhead=True),
+                replace(NS, overhead=True),
+                replace(IS, overhead=True),
+            ),
+        ),
+        # Utilisation is SimulationResult.steady_utilization (the arrival
+        # window), which on finite traces is what the paper's months-long
+        # logs effectively report; Figs 41-44 pair it with the metrics.
+        Experiment(
+            id="figs-35-44",
+            title="Load variation study",
+            heading="{trace}: overall utilisation %% vs load (Figs {fig})",
+            figures={"CTC": ("35-37, 41-42",), "SDSC": ("38-40, 43-44",)},
+            loads=(1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
+            schemes=(_tss(2.0), NS, IS),
+        ),
+        # beyond the paper (DESIGN.md section 12): the policy kernel's
+        # guarantee + preemption hybrids next to the schemes they compose
+        Experiment(
+            id="hybrids",
+            title="Hybrid guarantee+preemption schemes vs their parents",
+            heading="{trace}: average {metric}, hybrid schemes (policy kernel)",
+            schemes=(
+                _ss(2.0, "SS (SF = 2)"),
+                Scheme("SS+EASY (SF = 2)", "ss-easy", {"suspension_factor": 2.0}),
+                Scheme("TSS+CONS (SF = 2)", "tss-conservative", {"suspension_factor": 2.0}),
+                NS,
+            ),
+        ),
+    )
+}
+
+
+def run(
+    exp_id: str,
     trace: str = "CTC",
     n_jobs: int = DEFAULT_N_JOBS,
     seed: int = DEFAULT_SEED,
+    *,
     workers: int | None = None,
     cache: ResultCache | None = None,
     policy: GridPolicy | None = None,
-    shm: bool | None = None,
+    **overrides: Any,
 ) -> ExperimentOutput:
-    """Figs 7-10: mean slowdown & turnaround per category, SS vs NS vs IS.
+    """Regenerate experiment *exp_id* on preset *trace*.
 
-    ``data``: ``"slowdown"``/``"turnaround"`` -> scheme -> category -> mean.
-    ``workers``/``cache`` fan the scheme cells out over a process pool
-    and/or an on-disk result cache (see :mod:`repro.experiments.parallel`);
-    ``shm`` controls the shared-memory workload plane (default: on in
-    pool mode).
+    *overrides* replace fields of the record for this run (``loads=``,
+    ``estimates=``, ...).  ``workers``/``cache``/``policy`` reach every
+    cell of a scheme grid (see :func:`~repro.experiments.parallel.run_grid`);
+    records without one ignore them.  Workload-free records ignore the
+    trace arguments and report trace ``"-"``.
     """
-    preset = get_preset(trace)
-    jobs = _trace(trace, n_jobs, seed)
-    results = compare_schemes_parallel(
-        jobs,
-        preset.n_procs,
-        standard_schemes(),
-        workers=workers,
-        cache=cache,
-        policy=policy,
-        shm=shm,
-    )
-    data = {
-        "slowdown": _mean_grids(results, "slowdown"),
-        "turnaround": _mean_grids(results, "turnaround"),
-    }
-    fig_sd = "7" if trace == "CTC" else "9"
-    fig_tat = "8" if trace == "CTC" else "10"
-    report = "\n\n".join(
-        [
-            scheme_comparison_report(
-                f"{trace}: average slowdown, SS scheme (Fig {fig_sd})",
-                results,
-                metric="slowdown",
-            ),
-            scheme_comparison_report(
-                f"{trace}: average turnaround, SS scheme (Fig {fig_tat})",
-                results,
-                metric="turnaround",
-                statistic="mean",
-            ),
-        ]
-    )
-    return ExperimentOutput(
-        exp_id="figs-7-10",
-        title="SS average metrics vs NS and IS",
-        trace=trace,
-        data=data,
-        report=report,
-        results=results,
-    )
-
-
-# ----------------------------------------------------------------------
-# Hybrid guarantee + preemption schemes (beyond the paper; DESIGN.md §12)
-# ----------------------------------------------------------------------
-def hybrid_comparison(
-    trace: str = "CTC",
-    n_jobs: int = DEFAULT_N_JOBS,
-    seed: int = DEFAULT_SEED,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-    policy: GridPolicy | None = None,
-    shm: bool | None = None,
-) -> ExperimentOutput:
-    """Hybrids vs their parents: SS, SS+EASY, TSS+CONS, NS.
-
-    An extension experiment (no paper figure): the policy kernel's
-    guarantee + preemption cross products next to the pure schemes they
-    compose, answering what the reservation layer costs SS and what the
-    sweep buys CONS-style guarantees.  ``data`` mirrors
-    :func:`ss_average_metrics`: ``"slowdown"``/``"turnaround"`` ->
-    scheme -> category -> mean.
-    """
-    preset = get_preset(trace)
-    jobs = _trace(trace, n_jobs, seed)
-    results = compare_schemes_parallel(
-        jobs,
-        preset.n_procs,
-        hybrid_schemes(),
-        workers=workers,
-        cache=cache,
-        policy=policy,
-        shm=shm,
-    )
-    data = {
-        "slowdown": _mean_grids(results, "slowdown"),
-        "turnaround": _mean_grids(results, "turnaround"),
-    }
-    report = "\n\n".join(
-        [
-            scheme_comparison_report(
-                f"{trace}: average slowdown, hybrid schemes (policy kernel)",
-                results,
-                metric="slowdown",
-            ),
-            scheme_comparison_report(
-                f"{trace}: average turnaround, hybrid schemes (policy kernel)",
-                results,
-                metric="turnaround",
-                statistic="mean",
-            ),
-        ]
-    )
-    return ExperimentOutput(
-        exp_id="hybrids",
-        title="Hybrid guarantee+preemption schemes vs their parents",
-        trace=trace,
-        data=data,
-        report=report,
-        results=results,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figs 11/12/15/16 -- worst case under SS
-# ----------------------------------------------------------------------
-def ss_worst_case(
-    trace: str = "CTC",
-    n_jobs: int = DEFAULT_N_JOBS,
-    seed: int = DEFAULT_SEED,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-    policy: GridPolicy | None = None,
-    shm: bool | None = None,
-) -> ExperimentOutput:
-    """Figs 11-12 (CTC) / 15-16 (SDSC): worst-case slowdown & turnaround.
-
-    Schemes: SS(SF=2), NS, IS -- as in the paper's worst-case figures.
-    """
-    preset = get_preset(trace)
-    jobs = _trace(trace, n_jobs, seed)
-    results = compare_schemes_parallel(
-        jobs,
-        preset.n_procs,
-        standard_schemes(suspension_factors=(2.0,)),
-        workers=workers,
-        cache=cache,
-        policy=policy,
-        shm=shm,
-    )
-    data = {
-        "slowdown": _mean_grids(results, "slowdown", statistic="worst"),
-        "turnaround": _mean_grids(results, "turnaround", statistic="worst"),
-    }
-    figs = "11/12" if trace == "CTC" else "15/16"
-    report = "\n\n".join(
-        [
-            scheme_comparison_report(
-                f"{trace}: worst-case slowdown (Figs {figs})",
-                results,
-                metric="slowdown",
-                statistic="worst",
-            ),
-            scheme_comparison_report(
-                f"{trace}: worst-case turnaround (Figs {figs})",
-                results,
-                metric="turnaround",
-                statistic="worst",
-            ),
-        ]
-    )
-    return ExperimentOutput(
-        exp_id="figs-11-12-15-16",
-        title="SS worst-case metrics",
-        trace=trace,
-        data=data,
-        report=report,
-        results=results,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figs 13/14/17/18 -- TSS worst case
-# ----------------------------------------------------------------------
-def tss_worst_case(
-    trace: str = "CTC",
-    n_jobs: int = DEFAULT_N_JOBS,
-    seed: int = DEFAULT_SEED,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-    policy: GridPolicy | None = None,
-    shm: bool | None = None,
-) -> ExperimentOutput:
-    """Figs 13-14 (CTC) / 17-18 (SDSC): TSS vs SS vs NS vs IS worst cases."""
-    preset = get_preset(trace)
-    jobs = _trace(trace, n_jobs, seed)
-    specs = standard_schemes(suspension_factors=(2.0,))
-    specs[1:1] = [
-        s for s in tuned_schemes(suspension_factors=(2.0,)) if "Tuned" in s.label
-    ]
-    results = compare_schemes_parallel(
-        jobs, preset.n_procs, specs, workers=workers, cache=cache, policy=policy, shm=shm
-    )
-    data = {
-        "slowdown": _mean_grids(results, "slowdown", statistic="worst"),
-        "turnaround": _mean_grids(results, "turnaround", statistic="worst"),
-    }
-    figs = "13/14" if trace == "CTC" else "17/18"
-    report = "\n\n".join(
-        [
-            scheme_comparison_report(
-                f"{trace}: worst-case slowdown with TSS (Figs {figs})",
-                results,
-                metric="slowdown",
-                statistic="worst",
-            ),
-            scheme_comparison_report(
-                f"{trace}: worst-case turnaround with TSS (Figs {figs})",
-                results,
-                metric="turnaround",
-                statistic="worst",
-            ),
-        ]
-    )
-    return ExperimentOutput(
-        exp_id="figs-13-14-17-18",
-        title="TSS worst-case metrics",
-        trace=trace,
-        data=data,
-        report=report,
-        results=results,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figs 19-30 -- inaccurate estimates
-# ----------------------------------------------------------------------
-def estimate_impact(
-    trace: str = "CTC",
-    n_jobs: int = DEFAULT_N_JOBS,
-    seed: int = DEFAULT_SEED,
-    badly_fraction: float = 0.4,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-    policy: GridPolicy | None = None,
-    shm: bool | None = None,
-) -> ExperimentOutput:
-    """Figs 19-24 (CTC) / 25-30 (SDSC): inaccurate user estimates.
-
-    TSS (tuned) at SF 1.5/2/5 vs NS vs IS; metrics reported for all
-    jobs and for the well/badly estimated groups separately.
-
-    ``data``: quality (``"all"``/``"well"``/``"badly"``) -> metric ->
-    scheme -> category -> mean.
-    """
-    preset = get_preset(trace)
-    jobs = _trace(
-        trace, n_jobs, seed, estimates=InaccurateEstimates(badly_fraction=badly_fraction)
-    )
-    results = compare_schemes_parallel(
-        jobs,
-        preset.n_procs,
-        tuned_schemes(),
-        workers=workers,
-        cache=cache,
-        policy=policy,
-        shm=shm,
-    )
-    data: dict[str, Any] = {}
-    blocks: list[str] = []
-    for quality in (None, "well", "badly"):
-        qkey = quality or "all"
-        data[qkey] = {
-            "slowdown": _mean_grids(results, "slowdown", quality=quality),
-            "turnaround": _mean_grids(results, "turnaround", quality=quality),
-        }
-        for metric in ("slowdown", "turnaround"):
-            blocks.append(
-                scheme_comparison_report(
-                    f"{trace}: average {metric}, inaccurate estimates "
-                    f"({qkey} jobs; Figs 19-30)",
-                    results,
-                    metric=metric,
-                    quality=quality,
-                )
-            )
-    return ExperimentOutput(
-        exp_id="figs-19-30",
-        title="Impact of user estimate inaccuracy",
-        trace=trace,
-        data=data,
-        report="\n\n".join(blocks),
-        results=results,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figs 31-34 -- suspension overhead
-# ----------------------------------------------------------------------
-def overhead_impact(
-    trace: str = "CTC",
-    n_jobs: int = DEFAULT_N_JOBS,
-    seed: int = DEFAULT_SEED,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-    policy: GridPolicy | None = None,
-    shm: bool | None = None,
-) -> ExperimentOutput:
-    """Figs 31-34: SS with modelled suspend/restart overhead.
-
-    Schemes: SF=2 tuned with overhead ("SF = 2 OH") and without, NS, IS
-    (with overhead) -- ``data`` as in :func:`ss_average_metrics` plus
-    overhead presence per scheme.
-    """
-    preset = get_preset(trace)
-    jobs = _trace(trace, n_jobs, seed, estimates=InaccurateEstimates())
-    overhead = DiskSwapOverheadModel()
-    tuned = [s for s in tuned_schemes(suspension_factors=(2.0,)) if "Tuned" in s.label]
-    free = compare_schemes_parallel(
-        jobs, preset.n_procs, tuned, workers=workers, cache=cache, policy=policy, shm=shm
-    )
-    loaded = compare_schemes_parallel(
-        jobs,
-        preset.n_procs,
-        [*tuned, *(s for s in standard_schemes(()) if s.label in ("No Suspension", "IS"))],
-        overhead_model=overhead,
-        workers=workers,
-        cache=cache,
-        policy=policy,
-        shm=shm,
-    )
-    results = {
-        "SF = 2": free["SF = 2 Tuned"],
-        "SF = 2 OH": loaded["SF = 2 Tuned"],
-        "No Suspension": loaded["No Suspension"],
-        "IS": loaded["IS"],
-    }
-    data = {
-        "slowdown": _mean_grids(results, "slowdown"),
-        "turnaround": _mean_grids(results, "turnaround"),
-    }
-    figs = "31/32" if trace == "CTC" else "33/34"
-    report = "\n\n".join(
-        [
-            scheme_comparison_report(
-                f"{trace}: average slowdown with suspension overhead (Figs {figs})",
-                results,
-                metric="slowdown",
-            ),
-            scheme_comparison_report(
-                f"{trace}: average turnaround with suspension overhead (Figs {figs})",
-                results,
-                metric="turnaround",
-            ),
-        ]
-    )
-    return ExperimentOutput(
-        exp_id="figs-31-34",
-        title="Suspension overhead impact",
-        trace=trace,
-        data=data,
-        report=report,
-        results=results,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figs 35-44 -- load variation
-# ----------------------------------------------------------------------
-def load_variation(
-    trace: str = "CTC",
-    loads: tuple[float, ...] = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
-    n_jobs: int = DEFAULT_N_JOBS,
-    seed: int = DEFAULT_SEED,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-    policy: GridPolicy | None = None,
-    shm: bool | None = None,
-) -> ExperimentOutput:
-    """Figs 35-44: behaviour under scaled load.
-
-    For each load factor and scheme (SS SF=2 tuned, NS, IS):
-
-    * overall system utilisation (Figs 35/38) -- measured over the
-      arrival window (:attr:`SimulationResult.steady_utilization`),
-      which on finite traces is what the paper's months-long logs
-      effectively report (see that property's docstring);
-    * mean slowdown and turnaround per 4-way category (Figs 36-37/39-40);
-    * the utilisation-vs-metric pairing (Figs 41-44) falls out of the
-      same data (each load point contributes one (util, metric) pair).
-
-    This is the widest grid in the module -- ``len(loads) x 3`` cells
-    plus one NS calibration run per load -- so it fans the whole thing
-    through :func:`~repro.experiments.parallel.run_grid` in two phases:
-    the per-load NS baselines first (the tuned spec's limits depend on
-    them), then every (scheme, load) cell at once.  With a *cache* the
-    NS scheme cells hit the just-stored baseline fingerprints for free.
-
-    With ``shm=True`` the base trace is published **once** to the
-    shared-memory workload plane and every (scheme, load) cell carries
-    a ref whose :class:`~repro.workload.pipeline.LoadScaleStage` config
-    is applied worker-side after decode -- one segment for the whole
-    ``len(loads) x 3`` grid instead of ``len(loads)`` scaled copies in
-    every cell pickle.  :class:`LoadScaleStage` computes exactly what
-    :func:`~repro.workload.load.scale_load` computes, so results are
-    byte-identical either way (cache keys differ: ref cells hash
-    (base, pipeline), not the materialised scaled jobs).
-
-    ``data``: ``"loads"``, ``"utilization"`` (scheme -> [..]),
-    ``"slowdown"``/``"turnaround"`` (scheme -> category -> [..]).
-    """
-    preset = get_preset(trace)
-    base = _trace(trace, n_jobs, seed)
-    schemes = ["SF = 2 Tuned", "No Suspension", "IS"]
-    specs = [s for s in tuned_schemes(suspension_factors=(2.0,)) if s.label in schemes]
-
-    plane: WorkloadPlane | None = None
-    refs: dict[float, JobsRef] = {}
-    scaled: dict[float, list[Job]] = {}
-    if shm:
-        plane = WorkloadPlane()
-        for load in loads:
-            ref = plane.publish(
-                base, pipeline=WorkloadPipeline([LoadScaleStage(load)])
-            )
-            if ref is None:  # shared memory unavailable: inline fallback
-                plane.close()
-                plane = None
-                refs.clear()
-                break
-            refs[load] = ref
-    if not refs:
-        scaled = {load: scale_load(base, load) for load in loads}
-
-    def _cell(key: str, load: float, scheduler_config: Mapping[str, object]) -> GridCell:
-        if refs:
-            return GridCell(
-                key=key,
-                jobs_ref=refs[load],
-                n_procs=preset.n_procs,
-                scheduler_config=scheduler_config,
-            )
-        return GridCell(
-            key=key,
-            jobs=scaled[load],
-            n_procs=preset.n_procs,
-            scheduler_config=scheduler_config,
-        )
-
-    try:
-        # Phase 1: the NS baseline for each load (calibrates the tuned spec).
-        baseline_cells = [
-            _cell(f"NS@{load:g}", load, make_scheduler("easy").config())
-            for load in loads
-        ]
-        baselines = run_grid(
-            baseline_cells, workers=workers, cache=cache, policy=policy, shm=shm
-        ).results
-
-        # Phase 2: every (scheme, load) cell in one fan-out.
-        cells: list[GridCell] = []
-        for load in loads:
-            for spec in specs:
-                if spec.needs_baseline:
-                    assert spec.factory_with_baseline is not None
-                    scheduler = spec.factory_with_baseline(baselines[f"NS@{load:g}"])
-                else:
-                    scheduler = spec.factory()
-                cells.append(_cell(f"{spec.label}@{load:g}", load, scheduler.config()))
-        grid = run_grid(
-            cells, workers=workers, cache=cache, policy=policy, shm=shm
-        ).results
-    finally:
-        if plane is not None:
-            plane.close()
-
-    utilization: dict[str, list[float]] = {s: [] for s in schemes}
-    sd: dict[str, dict[tuple[str, str], list[float]]] = {s: {} for s in schemes}
-    tat: dict[str, dict[tuple[str, str], list[float]]] = {s: {} for s in schemes}
-    for load in loads:
-        for label in schemes:
-            r = grid[f"{label}@{load:g}"]
-            utilization[label].append(r.steady_utilization)
-            stats = per_category_stats(r.jobs, classifier=classify_four_way)
-            for cat, s in stats.items():
-                sd[label].setdefault(cat, []).append(s.slowdown.mean)
-                tat[label].setdefault(cat, []).append(s.turnaround.mean)
-    figs = "35-37, 41-42" if trace == "CTC" else "38-40, 43-44"
-    blocks = [
-        series_table(
-            "load",
-            list(loads),
-            {s: [100 * u for u in utilization[s]] for s in schemes},
-            title=f"{trace}: overall utilisation %% vs load (Figs {figs})",
-            precision=1,
-        )
-    ]
-    for cat in (("S", "N"), ("S", "W"), ("L", "N"), ("L", "W")):
-        blocks.append(
-            series_table(
-                "load",
-                list(loads),
-                {s: sd[s].get(cat, [float('nan')] * len(loads)) for s in schemes},
-                title=f"{trace}: mean slowdown vs load, category {cat[0]} {cat[1]}",
-            )
-        )
-    return ExperimentOutput(
-        exp_id="figs-35-44",
-        title="Load variation study",
-        trace=trace,
-        data={
-            "loads": list(loads),
-            "utilization": utilization,
-            "slowdown": sd,
-            "turnaround": tat,
-        },
-        report="\n\n".join(blocks),
-    )
+    exp = replace(EXPERIMENTS[exp_id], **overrides)
+    jobs: list[Job] = []
+    if exp.traces:
+        jobs = generate_trace(trace, n_jobs=n_jobs, seed=seed, estimate_model=exp.estimates)
+    else:
+        trace = "-"
+    if exp.tabulate is not None:
+        data, report, results = exp.tabulate(exp, trace, jobs)
+    else:
+        results = _grid(exp, trace, jobs, workers, cache, policy)
+        render = _scheme_report if exp.loads is None else _load_report
+        data, report = render(exp, trace, results)
+    return ExperimentOutput(exp.id, exp.title, trace, data, report, results)

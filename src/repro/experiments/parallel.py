@@ -126,7 +126,7 @@ class GridCell:
     def jobs_fingerprint(self) -> str:
         """Workload hash feeding the cache key (ref cells never decode)."""
         if self.jobs_ref is not None:
-            return self.jobs_ref.cache_jobs_fp()
+            return self.jobs_ref.jobs_fp
         assert self.jobs is not None
         return fingerprint_jobs(self.jobs)
 
@@ -600,7 +600,6 @@ def run_grid(
     counters: GridCounters | None = None,
     simulate_fn: Callable[[GridCell], SimulationResult] | None = None,
     shm: bool | None = None,
-    plane: WorkloadPlane | None = None,
 ) -> GridOutcome:
     """Execute *cells*, in parallel and/or from cache, merging deterministically.
 
@@ -636,21 +635,11 @@ def run_grid(
         each distinct workload is published once and every worker
         decodes it once, instead of every cell pickling the whole job
         list.  ``True``/``False`` force it on/off.  Conversion never
-        changes a cell's cache fingerprint (a pipeline-less ref hashes
-        to the inline workload hash), results stay byte-identical, and
-        the segments are unlinked before this function returns (or, if
-        the coordinator is killed first, by the multiprocessing
-        resource tracker).
-    plane:
-        Optional caller-owned :class:`~repro.experiments.shm.WorkloadPlane`
-        to publish into instead of a per-call one.  Publishing is
-        memoised by workload fingerprint on the plane, so a caller
-        running several grids over the same workload (a sharded replay's
-        batches, a sweep's shared base trace) pays one segment total
-        instead of one per call.  The caller keeps lifecycle ownership:
-        ``run_grid`` never closes a passed plane, and
-        ``counters.shm_segments`` counts only the segments *this* call
-        published into it.
+        changes a cell's cache fingerprint (a ref hashes to the inline
+        workload hash), results stay byte-identical, and the segments
+        are unlinked before this function returns (or, if the
+        coordinator is killed first, by the multiprocessing resource
+        tracker).
 
     The result dict iterates in cell input order regardless of worker
     completion order, and each value is bit-for-bit the result a serial
@@ -720,18 +709,16 @@ def run_grid(
 
     # shared-memory conversion -- publish each distinct pending inline
     # workload once, swap the cells over to refs.  Fingerprints are
-    # unchanged (a pipeline-less ref hashes to the inline jobs hash), so
-    # the cache entries probed above stay valid, as do warm caches
-    # written by inline or serial runs.  publish() returning None means
-    # shared memory is unavailable: that cell simply stays inline.
-    owned_plane: WorkloadPlane | None = None
+    # unchanged (a ref hashes to the inline jobs hash), so the cache
+    # entries probed above stay valid, as do warm caches written by
+    # inline or serial runs.  publish() returning None means shared
+    # memory is unavailable: that cell simply stays inline.
+    plane: WorkloadPlane | None = None
     exec_cells: Sequence[GridCell] = cells
     stats_before = decode_stats_snapshot()
     try:
         if use_shm and pending:
-            if plane is None:
-                plane = owned_plane = WorkloadPlane()
-            segments_before = plane.segments
+            plane = WorkloadPlane()
             converted = list(cells)
             for i in pending:
                 cell = converted[i]
@@ -741,7 +728,7 @@ def run_grid(
                 if ref is not None:
                     converted[i] = replace(cell, jobs=None, jobs_ref=ref)
             exec_cells = converted
-            outcome.counters.shm_segments += plane.segments - segments_before
+            outcome.counters.shm_segments += plane.segments
 
         if pending:
             execution = _GridExecution(
@@ -753,8 +740,8 @@ def run_grid(
             else:
                 execution.run_serial()
     finally:
-        if owned_plane is not None:
-            owned_plane.close()
+        if plane is not None:
+            plane.close()
         attaches, decodes, _hits, fallbacks = decode_stats_snapshot()
         outcome.counters.shm_attaches += attaches - stats_before[0]
         outcome.counters.shm_decodes += decodes - stats_before[1]
@@ -1073,7 +1060,6 @@ def replay_sharded(
     counters: GridCounters | None = None,
     provenance: Mapping[str, object] | None = None,
     trace_dir: str | Path | None = None,
-    shm: bool | None = None,
 ) -> ShardedReplayOutcome:
     """Replay one long (possibly streaming) workload through the grid executor.
 
@@ -1099,38 +1085,21 @@ def replay_sharded(
     an eager in-memory replay of the same shards.
 
     *provenance* (typically ``{"pipeline": pipe.fingerprint(), "source":
-    log_name}``) is folded into every shard cell's cache key.  *shm* is
-    forwarded to each batch's :func:`run_grid`, so a retried shard
-    re-pickles a ~200-byte ref instead of its whole window of jobs; all
-    batches share one replay-owned
-    :class:`~repro.experiments.shm.WorkloadPlane`, flushed (segments
-    unlinked) after each batch so ``/dev/shm`` holds at most one batch
-    of segments at a time -- shards are distinct workloads, so cross-
-    batch segment reuse would buy nothing and cost the boundedness.
+    log_name}``) is folded into every shard cell's cache key.  Each
+    batch's :func:`run_grid` publishes its shards to shared memory when
+    it runs pooled and unlinks them before returning, so ``/dev/shm``
+    holds at most one batch of segments at a time.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     outcome = ShardedReplayOutcome(
         counters=counters if counters is not None else GridCounters()
     )
-    plane = WorkloadPlane()
 
     def _flush(batch: list[GridCell]) -> None:
-        try:
-            grid = run_grid(
-                batch,
-                workers=workers,
-                cache=cache,
-                policy=policy,
-                counters=outcome.counters,
-                shm=shm,
-                plane=plane,
-            )
-        finally:
-            # every shard is a distinct workload, so nothing published
-            # for this batch is reusable by the next one: unlink now to
-            # keep shared memory bounded by one batch, not the log
-            plane.close()
+        grid = run_grid(
+            batch, workers=workers, cache=cache, policy=policy, counters=outcome.counters
+        )
         for result in grid.results.values():  # input order == shard order
             outcome.jobs.extend(result.jobs)
         outcome.executed += grid.executed

@@ -31,7 +31,6 @@ __all__ = [
     "SchemeSpec",
     "SuspensionOverheadModel",
     "compare_schemes",
-    "hybrid_schemes",
     "simulate",
     "standard_schemes",
     "tuned_schemes",
@@ -142,23 +141,6 @@ def tuned_schemes(
         for sf in suspension_factors
     ]
     return specs + _baselines()
-
-
-def hybrid_schemes(suspension_factor: float = 2.0) -> list[SchemeSpec]:
-    """The policy-kernel cross products next to their parents.
-
-    Pairs each hybrid (``ss-easy``, ``tss-conservative``) with the pure
-    schemes it composes, so one comparison run shows what the guarantee
-    layer costs and what the preemption layer buys (see DESIGN.md
-    section 12).
-    """
-    sf = suspension_factor
-    return [
-        _scheme(f"SS (SF = {sf:g})", "ss", suspension_factor=sf),
-        _scheme(f"SS+EASY (SF = {sf:g})", "ss-easy", suspension_factor=sf),
-        _scheme(f"TSS+CONS (SF = {sf:g})", "tss-conservative", suspension_factor=sf),
-        _scheme("No Suspension", "easy"),
-    ]
 
 
 def compare_schemes(

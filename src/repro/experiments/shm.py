@@ -18,14 +18,10 @@ workload from the dispatch payload entirely:
   :meth:`~WorkloadPlane.close` (``run_grid`` wraps its internal plane
   in ``try/finally``);
 * :class:`JobsRef` is the picklable hand-off -- fingerprint + segment
-  name + optional :class:`~repro.workload.pipeline.WorkloadPipeline`
-  stage *config* (plain data, rebuilt worker-side by
-  :func:`~repro.workload.pipeline.pipeline_from_config`), so derived
-  workloads (load-scaled sweeps) share one base segment;
+  name + job count;
 * :func:`resolve_jobs` is the worker-side decode: attach, verify the
-  fingerprint, decode, apply the pipeline, and memoise per process by
-  ``(segment, pipeline fingerprint)`` -- N cells over one workload
-  decode once per worker, not once per cell.
+  fingerprint, decode, and memoise per process by segment -- N cells
+  over one workload decode once per worker, not once per cell.
 
 Lifetime and crash-safety
 -------------------------
@@ -51,17 +47,15 @@ in-process, where the fallback registry is available).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from repro.experiments.cache import fingerprint_jobs
 from repro.workload.job import Job
-from repro.workload.pipeline import WorkloadPipeline, pipeline_from_config
 
 #: header magic; bump the trailing digit on any layout change
 _MAGIC = b"RPRJOBS1"
@@ -158,53 +152,16 @@ class JobsRef:
 
     A :class:`~repro.experiments.parallel.GridCell` carries this
     *instead of* an inline job list: ~200 bytes of pickle regardless of
-    trace length.  ``pipeline_config`` (a
-    :meth:`~repro.workload.pipeline.WorkloadPipeline.config` dict) is
-    applied worker-side **after** decode, so derived workloads -- the
-    load-variation sweep's per-load scalings -- all point at one base
-    segment.
+    trace length.  ``jobs_fp`` is also the cell's cache-key workload
+    hash, so a ref cell and its inline twin share cache entries.
     """
 
-    #: fingerprint of the *encoded* (base) jobs, pre-pipeline
+    #: fingerprint of the encoded jobs
     jobs_fp: str
     #: shared-memory segment name (``SharedMemory(name=...)`` attaches)
     segment: str
     #: job count in the segment (decode sanity check)
     n_jobs: int
-    #: optional pipeline stage config applied after decode (plain data;
-    #: rebuilt via :func:`repro.workload.pipeline.pipeline_from_config`)
-    pipeline_config: Mapping[str, object] | None = None
-    #: fingerprint of that pipeline (``None`` iff no pipeline)
-    pipeline_fp: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.pipeline_config is None) != (self.pipeline_fp is None):
-            raise ValueError(
-                "pipeline_config and pipeline_fp must be set together"
-            )
-
-    def cache_jobs_fp(self) -> str:
-        """The workload fingerprint this ref contributes to a cell's cache key.
-
-        Without a pipeline this is the base fingerprint, so a ref cell
-        and its inline twin share cache entries byte-for-byte.  With a
-        pipeline the derived workload is never materialised coordinator-
-        side, so the key is a composite over (base, pipeline) -- sound
-        because stages are deterministic functions of their config (the
-        pipeline determinism contract, docs/WORKLOADS.md).
-        """
-        if self.pipeline_fp is None:
-            return self.jobs_fp
-        blob = f"ref-v1|{self.jobs_fp}|{self.pipeline_fp}".encode()
-        return hashlib.sha256(blob).hexdigest()
-
-    def with_pipeline(self, pipeline: WorkloadPipeline) -> "JobsRef":
-        """A derived ref over the same segment, transformed by *pipeline*."""
-        return replace(
-            self,
-            pipeline_config=pipeline.config(),
-            pipeline_fp=pipeline.fingerprint(),
-        )
 
 
 @dataclass
@@ -238,11 +195,11 @@ class DecodeStats:
 #: the current process's decode tallies (see :class:`DecodeStats`)
 DECODE_STATS = DecodeStats()
 
-#: per-process decode memo: (segment, pipeline_fp) -> decoded job list.
+#: per-process decode memo: segment -> decoded job list.
 #: Entries for a plane's segments are evicted when the plane closes (in
 #: the owning process); pool workers are per-``run_grid`` so their memos
 #: die with them.
-_DECODE_MEMO: dict[tuple[str, str | None], list[Job]] = {}
+_DECODE_MEMO: dict[str, list[Job]] = {}
 
 #: segments *created* by this process -- their resource-tracker
 #: registration is the SIGKILL safety net and must not be unregistered
@@ -307,10 +264,16 @@ def _decode_segment(ref: JobsRef) -> list[Job]:
     return jobs
 
 
-def _base_jobs(ref: JobsRef) -> list[Job]:
-    """The decoded base (pre-pipeline) jobs of *ref*, memoised."""
-    key = (ref.segment, None)
-    hit = _DECODE_MEMO.get(key)
+def resolve_jobs(ref: JobsRef) -> list[Job]:
+    """The job list *ref* stands for, decoded at most once per process.
+
+    Callers must not mutate the returned list or its jobs -- it is
+    shared across every cell that references the same segment.  The
+    simulation path is safe by construction:
+    :func:`~repro.experiments.runner.simulate` takes fresh copies
+    before running (``copy_jobs=True``).
+    """
+    hit = _DECODE_MEMO.get(ref.segment)
     if hit is not None:
         DECODE_STATS.memo_hits += 1
         return hit
@@ -324,29 +287,7 @@ def _base_jobs(ref: JobsRef) -> list[Job]:
             raise
         DECODE_STATS.fallbacks += 1
         jobs = local[1]
-    _DECODE_MEMO[key] = jobs
-    return jobs
-
-
-def resolve_jobs(ref: JobsRef) -> list[Job]:
-    """The job list *ref* stands for, decoded at most once per process.
-
-    Callers must not mutate the returned list or its jobs -- it is
-    shared across every cell that references the same (segment,
-    pipeline) pair.  The simulation path is safe by construction:
-    :func:`~repro.experiments.runner.simulate` takes fresh copies
-    before running (``copy_jobs=True``).
-    """
-    key = (ref.segment, ref.pipeline_fp)
-    hit = _DECODE_MEMO.get(key)
-    if hit is not None:
-        DECODE_STATS.memo_hits += 1
-        return hit
-    jobs = _base_jobs(ref)
-    if ref.pipeline_config is not None:
-        pipeline = pipeline_from_config(dict(ref.pipeline_config))
-        jobs = pipeline.materialise(jobs)
-        _DECODE_MEMO[key] = jobs
+    _DECODE_MEMO[ref.segment] = jobs
     return jobs
 
 
@@ -361,10 +302,9 @@ class _Segment:
 class WorkloadPlane:
     """Coordinator-side publisher of shared-memory workload segments.
 
-    One plane per ``run_grid`` call (or per caller-managed scope, e.g.
-    the load-variation sweep's shared base trace).  ``publish`` is
-    memoised by jobs fingerprint, so a grid with 24 cells over one
-    workload creates exactly one segment.  :meth:`close` unlinks every
+    One plane per ``run_grid`` call.  ``publish`` is memoised by jobs
+    fingerprint, so a grid with 24 cells over one workload creates
+    exactly one segment.  :meth:`close` unlinks every
     segment this plane created and evicts this process's decode memo
     for them; it is idempotent and safe under partial failure.  Usable
     as a context manager.
@@ -394,19 +334,12 @@ class WorkloadPlane:
         self._pins[id(jobs)] = (jobs, fp)
         return fp
 
-    def publish(
-        self,
-        jobs: list[Job],
-        jobs_fp: str | None = None,
-        pipeline: WorkloadPipeline | None = None,
-    ) -> JobsRef | None:
+    def publish(self, jobs: list[Job], jobs_fp: str | None = None) -> JobsRef | None:
         """Publish *jobs* (once per fingerprint) and return a ref.
 
         Returns ``None`` when shared memory is unavailable (``/dev/shm``
         full or missing) -- the caller keeps its inline jobs and the
-        grid still runs, just without the payload savings.  *pipeline*
-        derives a ref over the same base segment; the segment content is
-        always the **pre-pipeline** jobs.
+        grid still runs, just without the payload savings.
         """
         fp = self._fingerprint(jobs, jobs_fp)
         seg = self._by_fp.get(fp)
@@ -426,8 +359,6 @@ class WorkloadPlane:
             self._by_fp[fp] = seg
             _OWNED_SEGMENTS.add(shm.name)
             _LOCAL_JOBS[shm.name] = (fp, jobs)
-        if pipeline is not None:
-            return seg.ref.with_pipeline(pipeline)
         return seg.ref
 
     def close(self) -> None:
@@ -438,8 +369,7 @@ class WorkloadPlane:
             name = seg.shm.name
             _OWNED_SEGMENTS.discard(name)
             _LOCAL_JOBS.pop(name, None)
-            for key in [k for k in _DECODE_MEMO if k[0] == name]:
-                del _DECODE_MEMO[key]
+            _DECODE_MEMO.pop(name, None)
             try:
                 seg.shm.close()
             except (OSError, BufferError):
@@ -457,27 +387,3 @@ class WorkloadPlane:
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
         self.close()
-
-
-def publish_jobs(
-    plane: WorkloadPlane,
-    groups: Iterable[list[Job]],
-) -> dict[int, JobsRef]:
-    """Publish every distinct list in *groups*; identity -> ref map.
-
-    Convenience for callers converting many cells at once: lists are
-    deduplicated by identity first (the common grid shape -- one list
-    shared by all cells -- publishes once), then by fingerprint inside
-    :meth:`WorkloadPlane.publish`.  Lists whose publish failed are
-    absent from the result.
-    """
-    refs: dict[int, JobsRef] = {}
-    pinned: list[list[Job]] = []
-    for jobs in groups:
-        if id(jobs) in refs:
-            continue
-        ref = plane.publish(jobs)
-        if ref is not None:
-            pinned.append(jobs)
-            refs[id(jobs)] = ref
-    return refs

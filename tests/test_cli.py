@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import EXPERIMENTS, _build_scheduler, build_parser, main
+from repro.cli import _build_scheduler, build_parser, main
+from repro.experiments.paper import EXPERIMENTS
 from repro.schedulers.registry import scheme_aliases, scheme_params
 
 #: every scheme id and alias the table registers
