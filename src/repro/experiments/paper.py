@@ -435,7 +435,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         Experiment(
             id="figs-35-44",
             title="Load variation study",
-            heading="{trace}: overall utilisation %% vs load (Figs {fig})",
+            heading="{trace}: overall utilisation % vs load (Figs {fig})",
             figures={"CTC": ("35-37, 41-42",), "SDSC": ("38-40, 43-44",)},
             loads=(1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
             schemes=(_tss(2.0), NS, IS),

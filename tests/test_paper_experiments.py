@@ -117,8 +117,8 @@ REPORT_SHA256 = {
     "figs-19-30/SDSC": "88a3348f4d9a47527431cfd225d48a70d477482d7873bcf4dfabc44a8e9a00fb",
     "figs-31-34/CTC": "a62747e7e3a97b5acc3f07a1e21f761bf13a63c81051a1b248ea3641d73ea92d",
     "figs-31-34/SDSC": "916b8b94b81d4584eb74d7623b7e156cb69fbb3090240f39bcecb4f0486014a4",
-    "figs-35-44/CTC": "362a30a5bd4452808b7dde865fcdd26f24e915c67083c08f2526c13a26e4a613",
-    "figs-35-44/SDSC": "6ffab034472eed0b9f68625be3780c2ffe4622a5953addbcb9a15a11be7b6839",
+    "figs-35-44/CTC": "651a1150ae656ecc75e9878c5c1cf254597183c4bbd39d30947755808594c43e",
+    "figs-35-44/SDSC": "c98a9e31c3e292ed1964cd2b82d3050b701122b3b9fdd51527b76bcd3b392260",
     "hybrids/CTC": "db0adbd85212b7c64f54845bf09c286aea5a0f11fcc41475e965c37220163f02",
     "hybrids/SDSC": "760860423c24b89495f156dd2aee0b250794480118dcd1a7c0caf793cb9a7f67",
 }
