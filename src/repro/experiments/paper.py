@@ -412,7 +412,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             title="Impact of user estimate inaccuracy",
             heading="{trace}: average {metric}, inaccurate estimates "
             "({quality} jobs; Figs 19-30)",
-            estimates=InaccurateEstimates(badly_fraction=0.4),
+            estimates=InaccurateEstimates(),
             schemes=(_tss(1.5), _tss(2.0), _tss(5.0), NS, IS),
             qualities=(None, "well", "badly"),
         ),
