@@ -295,9 +295,7 @@ def pipeline_from_config(config: dict[str, object]) -> WorkloadPipeline:
 
     The inverse of :meth:`WorkloadPipeline.config` for every in-repo
     stage, so a pipeline can travel across process boundaries as plain
-    JSON-stable data (the shared-memory workload plane ships stage
-    configs, not stage objects -- see :mod:`repro.experiments.shm`).
-    The round trip preserves the fingerprint::
+    JSON-stable data.  The round trip preserves the fingerprint::
 
         pipeline_from_config(p.config()).fingerprint() == p.fingerprint()
 
